@@ -39,7 +39,6 @@ import numpy as np
 from . import bayes, instrument as instr_mod, sim, states, superop
 from .errors import (
     InvariantViolation,
-    NoConvergence,
     ParseError,
     RetroOpsError,
     ValidationError,
@@ -391,6 +390,7 @@ def cmd_simulate(scn: Scenario, args, tol: float) -> dict:
         "tolerance": tol,
         "report": {
             "trials": report.trials,
+            "hits": report.hits,
             "empirical": report.empirical,
             "exact": report.exact,
             "abs_err": report.abs_err,
@@ -400,17 +400,21 @@ def cmd_simulate(scn: Scenario, args, tol: float) -> dict:
 
 
 def cmd_run(scn: Scenario, args, tol: float) -> dict:
+    """Run the scenario's tasks, parsing each with the parser ``main`` built."""
     reports = []
     for k, task in enumerate(scn.tasks):
         if not isinstance(task, dict) or "command" not in task:
             raise ValidationError(f"task {k}: expected an object with a 'command' field")
         if task["command"] == "run":
             raise ValidationError(f"task {k}: tasks may not nest 'run'")
+        if task["command"] not in COMMANDS:
+            raise ValidationError(f"task {k}: unknown command {task['command']!r}")
         argv = [task["command"], *[str(x) for x in task.get("args", [])]]
-        sub = _command_parser().parse_args(argv)
-        handler = COMMANDS[sub.command]
-        task_args = _merge_defaults(sub, args)
-        reports.append(handler(scn, task_args, tol))
+        sub = args.parser.parse_args(argv)
+        # The root options are not accepted after a subcommand, so a task
+        # always takes --seed and --trials from the parent command line.
+        sub.seed, sub.trials = args.seed, args.trials
+        reports.append(COMMANDS[sub.command](scn, sub, tol))
     return {"command": "run", "tolerance": tol, "tasks": reports}
 
 
@@ -477,13 +481,6 @@ def _command_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_defaults(sub_args, parent_args):
-    for attr in ("seed", "trials"):
-        if getattr(sub_args, attr, None) in (None, _command_parser().get_default(attr)):
-            setattr(sub_args, attr, getattr(parent_args, attr))
-    return sub_args
-
-
 def _human_lines(report: dict) -> list:
     lines = []
 
@@ -505,6 +502,7 @@ def _human_lines(report: dict) -> list:
 def main(argv=None) -> int:
     parser = _command_parser()
     args = parser.parse_args(argv)
+    args.parser = parser
     tol = args.tol
     if tol is None:
         env = os.environ.get(TOL_ENV_VAR)
@@ -517,7 +515,7 @@ def main(argv=None) -> int:
     except InvariantViolation as e:
         print(json.dumps({"error": "InvariantViolation", "message": str(e)}))
         return EXIT_NUMERIC
-    except (RetroOpsError, NoConvergence) as e:
+    except RetroOpsError as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}))
         return EXIT_VALIDATION
     if args.json:

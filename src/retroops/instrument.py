@@ -46,6 +46,8 @@ class Instrument:
     dim: int
     outcomes: tuple
     ops: MappingProxyType = field(repr=False)
+    #: Summed operation per event label tuple; see :func:`summed`.
+    _summed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def op(self, label: str) -> Superoperator:
         try:
@@ -109,11 +111,15 @@ def _event_labels(i: Instrument, event) -> tuple:
 
 
 def summed(i: Instrument, event) -> Superoperator:
-    """Sum of the components over an outcome subset (zero map for the empty set)."""
+    """Sum of the components over an outcome subset (zero map for the empty set).
+
+    One map is built per (instrument, label tuple) and returned again for a
+    repeated event, so its classification memo carries over between queries.
+    """
     labels = _event_labels(i, event)
-    if not labels:
-        return zero(i.dim)
-    return reduce(add, (i.op(x) for x in labels))
+    if labels not in i._summed:
+        i._summed[labels] = reduce(add, (i.op(x) for x in labels)) if labels else zero(i.dim)
+    return i._summed[labels]
 
 
 def p_inst_pred(i: Instrument, event, a: Superoperator, tol: float = DEFAULT_TOL) -> float:

@@ -49,9 +49,14 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class FreqReport:
-    """Empirical conditional frequency next to its exact value."""
+    """Empirical conditional frequency next to its exact value.
+
+    ``hits`` is the number of trials in which the condition occurred: the
+    sample size of ``empirical``, to which ``std_err`` belongs.
+    """
 
     trials: int
+    hits: int
     empirical: float
     exact: float
     abs_err: float
@@ -59,14 +64,15 @@ class FreqReport:
 
 
 def _as_state(prior, dim: int) -> np.ndarray:
+    """The prior's matrix; ``None`` is the maximally mixed state, and a raw
+    matrix must pass :class:`DensityMatrix` validation."""
     if prior is None:
         return np.eye(dim, dtype=complex) / dim
-    if isinstance(prior, DensityMatrix):
-        prior = prior.matrix
-    prior = np.asarray(prior, dtype=complex)
-    if prior.shape != (dim, dim):
-        raise DimensionMismatch(f"prior state has shape {prior.shape}, expected ({dim}, {dim})")
-    return prior
+    raw = not isinstance(prior, DensityMatrix)
+    m = np.asarray(prior, dtype=complex) if raw else prior.matrix
+    if m.shape != (dim, dim):
+        raise DimensionMismatch(f"prior state has shape {m.shape}, expected ({dim}, {dim})")
+    return DensityMatrix(m).matrix if raw else m
 
 
 def _check_uniform_dim(instruments) -> int:
@@ -216,5 +222,5 @@ def estimate(
         raise NoConditionHits("the conditioning outcome never occurred")
     both = int((mask_c & (outcomes[:, t_step] == t_idx)).sum())
     empirical = both / hits
-    std_err = float(np.sqrt(exact * (1.0 - exact) / trials))
-    return FreqReport(trials, empirical, exact, abs(empirical - exact), std_err)
+    std_err = float(np.sqrt(exact * (1.0 - exact) / hits))
+    return FreqReport(trials, hits, empirical, exact, abs(empirical - exact), std_err)

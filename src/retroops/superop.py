@@ -27,11 +27,15 @@ it is invisible to all composition statistics; this is equivalent to
 symmetrically for the reversed composition.
 
 All values are immutable after construction; every function is pure.
+Because a map never changes, :func:`classify` and the Choi spectrum it
+shares with :func:`extract_kraus` are computed once per (map, tolerance) and
+kept on the map.  Two threads racing on a first call may both compute the
+value; they store equal results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,6 +82,8 @@ class Superoperator:
 
     dim: int
     mat: np.ndarray
+    #: Results of checks on this map, keyed by ``(check, tol)``; see :func:`_memoised`.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.dim
@@ -221,14 +227,30 @@ def is_cp(a: Superoperator, tol: float = DEFAULT_TOL) -> bool:
     return is_positive(reshuffle(a), tol)
 
 
+def _memoised(a: Superoperator, check: str, tol: float, compute):
+    """``compute(a, tol)``, evaluated once per (map, check, tol) and kept on ``a``."""
+    key = (check, tol)
+    if key not in a._memo:
+        a._memo[key] = compute(a, tol)
+    return a._memo[key]
+
+
 def _choi_eig(a: Superoperator, tol: float):
     """Spectral decomposition of the (hermitized) Choi matrix, or ``None``
-    if the Choi matrix is not Hermitian within ``tol``."""
+    if the Choi matrix is not Hermitian within ``tol``.  Memoised and
+    read-only, so :func:`classify` and :func:`extract_kraus` share it."""
+    return _memoised(a, "choi_eig", tol, _compute_choi_eig)
+
+
+def _compute_choi_eig(a: Superoperator, tol: float):
     choi = reshuffle(a).mat
     defect = float(np.abs(choi - choi.conj().T).max())
     if defect > max(tol, DEFAULT_TOL) * max(1.0, float(np.linalg.norm(choi))):
         return None
-    return hermitian_eig((choi + choi.conj().T) / 2.0, tol=tol)
+    eig = hermitian_eig((choi + choi.conj().T) / 2.0, tol=tol)
+    eig.eigenvalues.setflags(write=False)
+    eig.eigenvectors.setflags(write=False)
+    return eig
 
 
 def _eig_psd(eig, tol: float) -> bool:
@@ -273,7 +295,13 @@ def classify(a: Superoperator, tol: float = DEFAULT_TOL) -> OperationClass:
     two Loewner checks) and, for completely positive maps, cross-checked
     against the Kraus-sum route ``sum M_k* M_k <= I`` and
     ``sum M_k M_k* <= I``; disagreement raises :class:`InvariantViolation`.
+    The record is computed once per (map, tol) and then returned from the
+    map's memo.
     """
+    return _memoised(a, "classify", tol, _classify)
+
+
+def _classify(a: Superoperator, tol: float) -> OperationClass:
     eye = np.eye(a.dim)
     positive = is_positive(a, tol)
     choi_eig = _choi_eig(a, tol)

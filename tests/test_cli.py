@@ -198,3 +198,45 @@ def test_main_returns_int():
     # main() drives everything in-process as well.
     code = cli.main(["--scenario", QUBIT, "--json", "prob", "--prior", "pz+"])
     assert code == 0
+
+
+def _scenario_with_tasks(tmp_path, tasks):
+    doc = json.loads(Path(QUBIT).read_text())
+    doc["tasks"] = tasks
+    path = tmp_path / "tasks.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_run_tasks_inherit_seed_and_trials(tmp_path, capsys):
+    path = _scenario_with_tasks(tmp_path, [
+        {"command": "simulate", "args": ["--steps", "Z", "X", "--condition", "1:+", "--target", "0:+"]},
+    ])
+    code = cli.main(["--scenario", path, "--json", "--seed", "7", "--trials", "20000", "run"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["tasks"] == [golden("simulate_zx.json")]
+
+
+def test_run_builds_the_parser_once(monkeypatch, capsys):
+    builds = []
+    real = cli._command_parser
+
+    def counted():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_command_parser", counted)
+    assert cli.main(["--scenario", QUBIT, "--json", "run"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["tasks"]) == 4
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("task", [
+    {"command": "--json", "args": ["run"]},
+    {"command": "--seed", "args": ["5", "check", "pz+"]},
+    {"command": "nope"},
+])
+def test_run_rejects_a_task_that_is_not_a_subcommand(tmp_path, capsys, task):
+    path = _scenario_with_tasks(tmp_path, [task])
+    assert cli.main(["--scenario", path, "--json", "run"]) == cli.EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().out)["error"] == "ValidationError"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import retroops as r
-from retroops.errors import NoConditionHits, ValidationError, ZeroCondition
+from retroops.errors import InvariantViolation, NoConditionHits, ValidationError, ZeroCondition
 
 from helpers import PZP, rng, x_instrument, z_instrument
 
@@ -131,3 +131,41 @@ def test_empirical_frequency_three_steps():
     z, x = z_instrument(), x_instrument()
     rep = r.estimate([z, x, z], condition=(2, "+"), target=(0, "+"), trials=100_000, seed=11)
     assert abs(rep.empirical - rep.exact) < 4.0 * max(rep.std_err, 1e-3)
+
+
+def test_std_err_belongs_to_condition_hits():
+    # The frequency is both/hits, so its standard error divides by hits,
+    # not by trials; the report carries hits as its sample size.
+    from retroops.sim import _sample_outcome_matrix
+
+    z, x = z_instrument(), x_instrument()
+    rep = r.estimate([z, x], condition=(1, "+"), target=(0, "+"), trials=3000, seed=4)
+    outcomes = _sample_outcome_matrix([z, x], None, 3000, seed=4)
+    assert rep.hits == int((outcomes[:, 1] == 0).sum())
+    assert 0 < rep.hits < rep.trials
+    assert rep.std_err == float(np.sqrt(rep.exact * (1.0 - rep.exact) / rep.hits))
+
+
+def test_std_err_calibrated_over_seeds():
+    # About 95 % of runs land within 2 sigma.  P(condition) = 1/2 here, so
+    # an error bar over trials instead of hits covers only about 84 %.
+    z, x = z_instrument(), x_instrument()
+    inside = 0
+    seeds = 400
+    for seed in range(seeds):
+        rep = r.estimate([z, x], condition=(1, "+"), target=(0, "+"), trials=400, seed=seed)
+        inside += rep.abs_err <= 2.0 * rep.std_err
+    assert 0.92 <= inside / seeds <= 0.98
+
+
+def test_prior_must_be_a_density_matrix():
+    z = z_instrument()
+    bad = np.diag([2.0, -1.0]).astype(complex)
+    with pytest.raises(InvariantViolation):
+        r.exact_sequence_probability([z], {0: "+"}, prior=bad)
+    with pytest.raises(InvariantViolation):
+        r.estimate([z], condition=(0, "+"), target=(0, "+"), trials=10, prior=bad)
+    with pytest.raises(InvariantViolation):
+        r.sample_sequence([z], prior=bad)
+    rho = r.DensityMatrix(PZP)
+    assert r.exact_sequence_probability([z], {0: "+"}, prior=rho) == 1.0
