@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvariantViolation, NotOperation, NotResolution, ZeroCondition
 from .matcore import DEFAULT_TOL
-from .superop import Superoperator, add, adjoint, classify, compose, event_weight
+from .superop import Superoperator, add, adjoint, apply, classify, compose, event_weight
 
 __all__ = [
     "p_pred",
@@ -36,6 +36,11 @@ __all__ = [
 
 #: Bayes formulas are only valid for finite resolutions; reject absurd sizes.
 MAX_RESOLUTION_SIZE = 10_000
+
+#: Absolute tolerance on ``|sum(I) - I|`` and ``|adjoint(sum)(I) - I|`` for
+#: the trivial sum of a resolution or an instrument; looser than the
+#: arithmetic tolerance because sums accumulate error over many members.
+SUM_TOL = 1e-8
 
 
 def _as_probability(value: complex, tol: float) -> float:
@@ -94,6 +99,19 @@ def p_prior(a: Superoperator, tol: float = DEFAULT_TOL, check: bool = True) -> f
     return _as_probability(_weight(a, tol) / a.dim, tol)
 
 
+def _require_trivial_sum(ops, error, what: str) -> None:
+    """Raise ``error`` unless ``ops`` sum to a trivial map within :data:`SUM_TOL`.
+
+    The one trivial-sum check, shared by Bayes resolutions and instruments.
+    """
+    total = reduce(add, ops)
+    eye = np.eye(total.dim)
+    dev_out = float(np.abs(apply(total, eye) - eye).max())
+    dev_in = float(np.abs(apply(adjoint(total), eye) - eye).max())
+    if dev_out > SUM_TOL or dev_in > SUM_TOL:
+        raise error(f"{what}; |sum(I) - I| = {dev_out:.3e}, |adjoint(sum)(I) - I| = {dev_in:.3e}")
+
+
 def _check_resolution(a_list, tol: float) -> None:
     if not a_list:
         raise NotResolution("resolution must be nonempty")
@@ -103,18 +121,20 @@ def _check_resolution(a_list, tol: float) -> None:
         _require_operation(a, tol, f"resolution member {k}")
         if _weight(a, tol) <= tol:
             raise ZeroCondition(f"resolution member {k} has zero event weight")
-    total = reduce(add, a_list)
-    cls = classify(total, tol)
-    if not cls.trivial:
-        eye = np.eye(total.dim)
-        from .superop import apply  # local import to avoid cycle noise at module top
+    _require_trivial_sum(a_list, NotResolution, "members must sum to a trivial operation")
 
-        dev_out = float(np.abs(apply(total, eye) - eye).max())
-        dev_in = float(np.abs(apply(adjoint(total), eye) - eye).max())
-        raise NotResolution(
-            f"members must sum to a trivial operation; |sum(I) - I| = {dev_out:.3e}, "
-            f"|adjoint(sum)(I) - I| = {dev_in:.3e}"
-        )
+
+def _bayes(cond, a_list, b: Superoperator, j: int, tol: float) -> float:
+    """``cond(b, a_j) p_prior(a_j) / sum_k cond(b, a_k) p_prior(a_k)`` over a resolution."""
+    _check_resolution(a_list, tol)
+    _require_operation(b, tol, "condition")
+    if p_prior(b, tol, check=False) <= tol:
+        raise ZeroCondition("condition has zero unconditional probability")
+    terms = [cond(b, a, tol, check=False) * p_prior(a, tol, check=False) for a in a_list]
+    total = sum(terms)
+    if total <= tol:
+        raise ZeroCondition("normalisation of the Bayes formula vanished")
+    return _as_probability(complex(terms[j] / total), tol)
 
 
 def bayes_retrodict(a_list, b: Superoperator, j: int, tol: float = DEFAULT_TOL) -> float:
@@ -124,15 +144,7 @@ def bayes_retrodict(a_list, b: Superoperator, j: int, tol: float = DEFAULT_TOL) 
     for any finite resolution ``a_list`` (operations with trivial sum) and
     any operation ``b`` with ``p_prior(b) > 0``.
     """
-    _check_resolution(a_list, tol)
-    _require_operation(b, tol, "condition")
-    if p_prior(b, tol, check=False) <= tol:
-        raise ZeroCondition("condition has zero unconditional probability")
-    terms = [p_pred(b, a, tol, check=False) * p_prior(a, tol, check=False) for a in a_list]
-    total = sum(terms)
-    if total <= tol:
-        raise ZeroCondition("normalisation of the Bayes formula vanished")
-    return _as_probability(complex(terms[j] / total), tol)
+    return _bayes(p_pred, a_list, b, j, tol)
 
 
 def bayes_predict(a_list, b: Superoperator, j: int, tol: float = DEFAULT_TOL) -> float:
@@ -140,15 +152,7 @@ def bayes_predict(a_list, b: Superoperator, j: int, tol: float = DEFAULT_TOL) ->
 
     ``p_pred(a_j, b) = p_retro(b, a_j) p_prior(a_j) / sum_k p_retro(b, a_k) p_prior(a_k)``.
     """
-    _check_resolution(a_list, tol)
-    _require_operation(b, tol, "condition")
-    if p_prior(b, tol, check=False) <= tol:
-        raise ZeroCondition("condition has zero unconditional probability")
-    terms = [p_retro(b, a, tol, check=False) * p_prior(a, tol, check=False) for a in a_list]
-    total = sum(terms)
-    if total <= tol:
-        raise ZeroCondition("normalisation of the Bayes formula vanished")
-    return _as_probability(complex(terms[j] / total), tol)
+    return _bayes(p_retro, a_list, b, j, tol)
 
 
 def time_reverse(a: Superoperator, tol: float = DEFAULT_TOL) -> Superoperator:

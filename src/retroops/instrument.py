@@ -12,11 +12,10 @@ from dataclasses import dataclass, field
 from functools import reduce
 from types import MappingProxyType
 
-import numpy as np
-
-from .errors import DimensionMismatch, NotOperation, NotTrivialSum, ValidationError, ZeroCondition
+from .bayes import SUM_TOL, _require_trivial_sum
+from .errors import DimensionMismatch, NotOperation, NotTrivialSum, ValidationError
 from .matcore import DEFAULT_TOL
-from .superop import Superoperator, add, adjoint, apply, classify, compose, zero
+from .superop import Superoperator, add, classify, compose, zero
 from . import bayes
 
 __all__ = [
@@ -31,11 +30,6 @@ __all__ = [
     "p_cond_pred",
     "p_cond_retro",
 ]
-
-#: Absolute tolerance on ``|sum(I) - I|`` for the trivial-sum validation;
-#: looser than the arithmetic tolerance because sums accumulate error over
-#: many components.
-SUM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -56,12 +50,14 @@ class Instrument:
             raise ValidationError(f"instrument '{self.name}' has no outcome '{label}'") from None
 
 
-def make_instrument(ops, name: str = "", tol: float = DEFAULT_TOL, sum_tol: float = SUM_TOL) -> Instrument:
+def make_instrument(ops, name: str = "", tol: float = DEFAULT_TOL) -> Instrument:
     """Validate and build an instrument from a label-to-operation mapping.
 
-    Every component must be an operation and the components must sum to a
-    trivial map within ``sum_tol``; otherwise :class:`NotOperation` or
-    :class:`NotTrivialSum` is raised.
+    An instrument is a labelled resolution: every component must be an
+    operation and the components must sum to a trivial map within
+    :data:`SUM_TOL`, by the same check the Bayes formulas apply to a
+    resolution; otherwise :class:`NotOperation` or :class:`NotTrivialSum` is
+    raised.
     """
     if not ops:
         raise ValidationError(f"instrument '{name}': outcome map must be nonempty")
@@ -73,15 +69,7 @@ def make_instrument(ops, name: str = "", tol: float = DEFAULT_TOL, sum_tol: floa
     for label in labels:
         if not classify(ops[label], tol).operation:
             raise NotOperation(f"instrument '{name}': component '{label}' is not an operation")
-    total = reduce(add, ops.values())
-    eye = np.eye(dim)
-    dev_out = float(np.abs(apply(total, eye) - eye).max())
-    dev_in = float(np.abs(apply(adjoint(total), eye) - eye).max())
-    if dev_out > sum_tol or dev_in > sum_tol:
-        raise NotTrivialSum(
-            f"instrument '{name}': component sum is not trivial; "
-            f"|sum(I) - I| = {dev_out:.3e}, |adjoint(sum)(I) - I| = {dev_in:.3e}"
-        )
+    _require_trivial_sum(ops.values(), NotTrivialSum, f"instrument '{name}': component sum is not trivial")
     return Instrument(name, dim, labels, MappingProxyType(dict(ops)))
 
 
@@ -140,35 +128,16 @@ def p_inst(i: Instrument, event, tol: float = DEFAULT_TOL) -> float:
 def p_cond_pred(i: Instrument, j: Instrument, a_event, b_event, tol: float = DEFAULT_TOL) -> float:
     """Probability that ``i`` lands in ``a_event`` after ``j`` landed in ``b_event``.
 
-    Defined as the joint probability of ``a_event x b_event`` under the
-    product instrument (``j`` first), divided by the probability of
-    ``b_event`` under ``j``.
+    The joint probability of ``a_event x b_event`` under the product
+    instrument (``j`` first) over the probability of ``b_event`` under ``j``;
+    since ``compose`` is bilinear, this is ``p_pred`` of the summed events.
     """
-    pj = p_inst(j, b_event, tol)
-    if pj <= tol:
-        raise ZeroCondition("conditioning event has zero probability")
-    labels_a = _event_labels(i, a_event)
-    labels_b = _event_labels(j, b_event)
-    joint = zero(i.dim)
-    for x in labels_a:
-        for y in labels_b:
-            joint = add(joint, compose(i.op(x), j.op(y)))
-    return bayes._as_probability(complex(bayes.p_prior(joint, tol, check=False) / pj), tol)
+    return bayes.p_pred(summed(i, a_event), summed(j, b_event), tol)
 
 
 def p_cond_retro(i: Instrument, j: Instrument, a_event, b_event, tol: float = DEFAULT_TOL) -> float:
     """Probability that ``i`` landed in ``a_event`` before ``j`` lands in ``b_event``.
 
-    The mirrored form: joint probability under the product with ``i`` first,
-    divided by the probability of ``b_event`` under ``j``.
+    The mirrored form (product with ``i`` first): ``p_retro`` of the summed events.
     """
-    pj = p_inst(j, b_event, tol)
-    if pj <= tol:
-        raise ZeroCondition("conditioning event has zero probability")
-    labels_a = _event_labels(i, a_event)
-    labels_b = _event_labels(j, b_event)
-    joint = zero(i.dim)
-    for x in labels_a:
-        for y in labels_b:
-            joint = add(joint, compose(j.op(y), i.op(x)))
-    return bayes._as_probability(complex(bayes.p_prior(joint, tol, check=False) / pj), tol)
+    return bayes.p_retro(summed(i, a_event), summed(j, b_event), tol)

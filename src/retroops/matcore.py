@@ -135,15 +135,19 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL, max_sweeps: int = JACOBI_MAX_SWEE
     return EigSystem(eigenvalues[order], v[:, order])
 
 
+def _eig_psd(eig: EigSystem, tol: float) -> bool:
+    """The test of :func:`is_psd` on an already computed spectrum."""
+    lo = eig.eigenvalues[0]
+    hi = eig.eigenvalues[-1]
+    return bool(lo >= -tol * max(1.0, abs(hi)))
+
+
 def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
     """True iff the Hermitian matrix ``m`` is positive semidefinite at ``tol``.
 
     The test is ``min eigenvalue >= -tol * max(1, |max eigenvalue|)``.
     """
-    eig = hermitian_eig(m, tol=tol)
-    lo = eig.eigenvalues[0]
-    hi = eig.eigenvalues[-1]
-    return bool(lo >= -tol * max(1.0, abs(hi)))
+    return _eig_psd(hermitian_eig(m, tol=tol), tol)
 
 
 def loewner_leq(a, b, tol: float = DEFAULT_TOL) -> bool:

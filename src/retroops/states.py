@@ -100,7 +100,7 @@ def state_prior(a: Superoperator, tol: float = DEFAULT_TOL, check: bool = True) 
     """Density matrix inferred for the input of operation ``a`` given that it fired."""
     if check:
         _require_operation(a, tol, "argument")
-    return _normalized_image(apply(adjoint(a), np.eye(a.dim)), tol)
+    return state_posterior(adjoint(a), tol, check=False)
 
 
 def state_posterior(a: Superoperator, tol: float = DEFAULT_TOL, check: bool = True) -> DensityMatrix:

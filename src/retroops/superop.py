@@ -47,7 +47,7 @@ from .errors import (
     NotProjector,
     NotUnitary,
 )
-from .matcore import DEFAULT_TOL, as_matrix, hermitian_eig, is_psd
+from .matcore import DEFAULT_TOL, _eig_psd, as_matrix, hermitian_eig, is_psd
 
 __all__ = [
     "Superoperator",
@@ -216,8 +216,13 @@ def is_positive(a: Superoperator, tol: float = DEFAULT_TOL) -> bool:
     ``adjoint`` is the adjoint for the trace inner product.  A non-Hermitian
     storage matrix yields ``False`` rather than an error.
     """
+    return _psd(a.mat, tol)
+
+
+def _psd(m: np.ndarray, tol: float) -> bool:
+    """:func:`is_psd`, reading a non-Hermitian matrix as ``False``."""
     try:
-        return is_psd(a.mat, tol)
+        return is_psd(m, tol)
     except NotHermitian:
         return False
 
@@ -253,12 +258,6 @@ def _compute_choi_eig(a: Superoperator, tol: float):
     return eig
 
 
-def _eig_psd(eig, tol: float) -> bool:
-    lo = eig.eigenvalues[0]
-    hi = eig.eigenvalues[-1]
-    return bool(lo >= -tol * max(1.0, abs(hi)))
-
-
 def _kraus_from_eig(eig, dim: int, tol: float) -> KrausSet:
     ops = []
     for lam, vec in zip(eig.eigenvalues, eig.eigenvectors.T):
@@ -281,13 +280,6 @@ def extract_kraus(a: Superoperator, tol: float = DEFAULT_TOL) -> KrausSet:
     return _kraus_from_eig(eig, a.dim, tol)
 
 
-def _below_identity(m: np.ndarray, tol: float) -> bool:
-    try:
-        return is_psd(np.eye(m.shape[0]) - m, tol)
-    except NotHermitian:
-        return False
-
-
 def classify(a: Superoperator, tol: float = DEFAULT_TOL) -> OperationClass:
     """Classify a superoperator: positivity, complete positivity, operation, triviality.
 
@@ -308,14 +300,14 @@ def _classify(a: Superoperator, tol: float) -> OperationClass:
     cp = choi_eig is not None and _eig_psd(choi_eig, tol)
     out_img = apply(a, eye)
     in_img = apply(adjoint(a), eye)
-    sub_unital = _below_identity(out_img, tol)
-    sub_tracial = _below_identity(in_img, tol)
+    sub_unital = _psd(eye - out_img, tol)
+    sub_tracial = _psd(eye - in_img, tol)
     operation = cp and sub_unital and sub_tracial
     if cp:
         ks = _kraus_from_eig(choi_eig, a.dim, tol)
         s_in = sum((m.conj().T @ m for m in ks.ops), np.zeros_like(eye, dtype=complex))
         s_out = sum((m @ m.conj().T for m in ks.ops), np.zeros_like(eye, dtype=complex))
-        via_kraus = _below_identity(s_out, tol) and _below_identity(s_in, tol)
+        via_kraus = _psd(eye - s_out, tol) and _psd(eye - s_in, tol)
         if via_kraus != (sub_unital and sub_tracial):
             raise InvariantViolation(
                 "operation predicate disagrees between the Loewner route and the Kraus-sum route"
@@ -355,11 +347,8 @@ def unitary(u, tol: float = DEFAULT_TOL) -> Superoperator:
 
 
 def unitary_inv(u, tol: float = DEFAULT_TOL) -> Superoperator:
-    """The map ``A -> U* A U``, the inverse of :func:`unitary`."""
-    u = as_matrix(u)
-    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > tol:
-        raise NotUnitary("input must satisfy U*U = I within tolerance")
-    return from_kraus([u.conj().T])
+    """The map ``A -> U* A U``, the inverse of :func:`unitary` and its adjoint."""
+    return adjoint(unitary(u, tol))
 
 
 def add(a: Superoperator, b: Superoperator) -> Superoperator:

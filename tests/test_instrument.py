@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 import retroops as r
+from retroops.instrument import SUM_TOL
 from retroops.errors import (
     DimensionMismatch,
     NotOperation,
@@ -154,11 +157,31 @@ def test_conditional_normalizes():
             assert abs(total - 1.0) < 1e-10
 
 
+def _nonempty_events(inst):
+    labels = inst.outcomes
+    return [list(c) for k in range(1, len(labels) + 1) for c in combinations(labels, k)]
+
+
 def test_conditional_matches_product_joint():
     z, x = z_instrument(), x_instrument()
     zx = r.product(z, x)
     joint = r.p_inst(zx, ["+,+"])
     assert abs(r.p_cond_pred(z, x, ["+"], ["+"]) - joint / r.p_inst(x, ["+"])) < 1e-12
+    # Random Lüders instruments and multi-label events: the conditionals of
+    # summed events agree with the joint measure of the product instrument
+    # (j first for the predictive form, i first for the retrodictive one).
+    gen = rng(84)
+    for n in (2, 3):
+        i = r.make_instrument({str(k): op for k, op in enumerate(luders_resolution(gen, n))})
+        j = r.make_instrument({str(k): op for k, op in enumerate(luders_resolution(gen, n))})
+        ij, ji = r.product(i, j), r.product(j, i)
+        for a_event in _nonempty_events(i):
+            for b_event in _nonempty_events(j):
+                pb = r.p_inst(j, b_event)
+                pred = r.p_inst(ij, [f"{x},{y}" for x in a_event for y in b_event]) / pb
+                retro = r.p_inst(ji, [f"{y},{x}" for x in a_event for y in b_event]) / pb
+                assert abs(r.p_cond_pred(i, j, a_event, b_event) - pred) < 1e-10
+                assert abs(r.p_cond_retro(i, j, a_event, b_event) - retro) < 1e-10
 
 
 def test_time_reversed_instrument():
@@ -186,11 +209,24 @@ def test_summed_over_all_outcomes_is_trivial():
     assert r.classify(r.summed(z, z.outcomes)).trivial
 
 
+def _off_normalised_z(eps):
+    return {"+": r.scale(r.projecting(PZP), 1.0 - eps), "-": r.projecting(PZM)}
+
+
 def test_instrument_sum_tolerance():
-    # A slightly off-normalised pair passes at a loose sum tolerance and
-    # fails at a strict one.
-    eps = 1e-9
-    ops = {"+": r.scale(r.projecting(PZP), 1.0 - eps), "-": r.projecting(PZM)}
-    r.make_instrument(ops, sum_tol=1e-8)
+    # A pair off normalisation by less than SUM_TOL is an instrument; one off
+    # by more is not.
+    r.make_instrument(_off_normalised_z(1e-9))
     with pytest.raises(NotTrivialSum):
-        r.make_instrument(ops, sum_tol=1e-10)
+        r.make_instrument(_off_normalised_z(1e-7))
+
+
+def test_instrument_components_are_a_bayes_resolution():
+    # Components whose sum is off by -5e-9 pass make_instrument, so the Bayes
+    # formulas accept them as a resolution too.
+    inst = r.make_instrument(_off_normalised_z(5e-9))
+    res = [inst.op(x) for x in inst.outcomes]
+    b = r.projecting(PXP)
+    for k in range(len(res)):
+        assert abs(r.bayes_retrodict(res, b, k) - r.p_retro(res[k], b)) <= 2 * SUM_TOL
+        assert abs(r.bayes_predict(res, b, k) - r.p_pred(res[k], b)) <= 2 * SUM_TOL

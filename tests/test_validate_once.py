@@ -15,7 +15,15 @@ import pytest
 import retroops as r
 from retroops import matcore, superop
 
-from helpers import rand_operation, rand_unitary, rng, x_instrument, z_instrument
+from helpers import (
+    luders_resolution,
+    rand_operation,
+    rand_resolution,
+    rand_unitary,
+    rng,
+    x_instrument,
+    z_instrument,
+)
 
 
 @pytest.fixture
@@ -45,6 +53,21 @@ def test_probabilities_on_classified_maps_make_no_eigensolve(eig_calls):
         r.p_retro(a, b)
         r.p_prior(a)
         assert len(eig_calls) == 0
+
+
+def test_bayes_on_classified_maps_makes_no_eigensolve(eig_calls):
+    # The resolution's trivial sum is checked on the identity's images, not by
+    # classifying a fresh sum map.
+    gen = rng(309)
+    for d in (2, 3):
+        for res in (luders_resolution(gen, d), rand_resolution(gen, d, 3)):
+            b = rand_operation(gen, d)
+            for a in res + [b]:
+                r.classify(a)
+            eig_calls.clear()
+            r.bayes_retrodict(res, b, 0)
+            r.bayes_predict(res, b, len(res) - 1)
+            assert len(eig_calls) == 0
 
 
 def test_first_check_eigensolves_once_per_map(eig_calls):
@@ -89,12 +112,13 @@ def test_summed_returns_one_map_per_event(eig_calls):
     assert r.summed(z, []) is r.summed(z, [])
     assert r.summed(z, ["+"]) is not r.summed(z, ["-"])
     assert r.summed(x, ["+"]) is not r.summed(z, ["+"])
-    r.p_cond_retro(z, x, ["+"], ["+"])
+    first = (r.p_cond_retro(z, x, ["+"], ["+"]), r.p_cond_pred(z, x, ["+", "-"], ["-"]))
     eig_calls.clear()
     r.p_inst(x, ["+"])
     r.p_inst_pred(x, ["+"], r.summed(z, ["+"]))
-    r.p_cond_retro(z, x, ["+"], ["+"])
+    again = (r.p_cond_retro(z, x, ["+"], ["+"]), r.p_cond_pred(z, x, ["+", "-"], ["-"]))
     assert len(eig_calls) == 0
+    assert again == first
 
 
 def test_map_and_cached_spectrum_are_read_only():
