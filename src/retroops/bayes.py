@@ -119,18 +119,22 @@ def _check_resolution(a_list, tol: float) -> None:
         raise NotResolution(f"resolution size {len(a_list)} exceeds {MAX_RESOLUTION_SIZE}")
     for k, a in enumerate(a_list):
         _require_operation(a, tol, f"resolution member {k}")
-        if _weight(a, tol) <= tol:
-            raise ZeroCondition(f"resolution member {k} has zero event weight")
     _require_trivial_sum(a_list, NotResolution, "members must sum to a trivial operation")
 
 
 def _bayes(cond, a_list, b: Superoperator, j: int, tol: float) -> float:
-    """``cond(b, a_j) p_prior(a_j) / sum_k cond(b, a_k) p_prior(a_k)`` over a resolution."""
+    """``cond(b, a_j) p_prior(a_j) / sum_k cond(b, a_k) p_prior(a_k)`` over a resolution.
+
+    A member of zero event weight has ``p_prior`` 0, so its term is 0.
+    """
     _check_resolution(a_list, tol)
     _require_operation(b, tol, "condition")
     if p_prior(b, tol, check=False) <= tol:
         raise ZeroCondition("condition has zero unconditional probability")
-    terms = [cond(b, a, tol, check=False) * p_prior(a, tol, check=False) for a in a_list]
+    terms = [
+        cond(b, a, tol, check=False) * p_prior(a, tol, check=False) if _weight(a, tol) > tol else 0.0
+        for a in a_list
+    ]
     total = sum(terms)
     if total <= tol:
         raise ZeroCondition("normalisation of the Bayes formula vanished")

@@ -6,11 +6,16 @@ probability ``tr[op_x(rho)]`` and the state updates to ``op_x(rho)`` divided
 by that probability; the branch probabilities sum to one at every step
 because instrument components sum to a trace-preserving map.
 
+Trials with one outcome history share a node of the history tree.  Only
+occupied nodes are kept, renumbered in history order after each step, so a
+step handles at most ``min(trials, K**s)`` nodes in one batch and node ids
+stay below ``trials * K``.
+
 Randomness comes from a Philox counter-based generator keyed by the 64-bit
-seed.  In :func:`estimate` the uniform variate consumed by trial ``t`` at
-step ``s`` sits at flat counter position ``t * steps + s``, so any slice of
-trials can be regenerated independently of scheduling and results are
-bit-identical regardless of how trials are partitioned across workers.
+seed.  The uniform variate consumed by trial ``t`` at step ``s`` sits at
+flat counter position ``t * steps + s``, so any slice of trials can be
+regenerated independently of scheduling and results are bit-identical
+regardless of how trials are partitioned across workers.
 """
 
 from __future__ import annotations
@@ -84,41 +89,23 @@ def _check_uniform_dim(instruments) -> int:
     return dims.pop()
 
 
-def _branch_probs(inst: Instrument, rho: np.ndarray) -> tuple:
-    probs = np.empty(len(inst.outcomes))
-    images = []
-    for k, label in enumerate(inst.outcomes):
-        img = apply(inst.op(label), rho)
-        p = np.trace(img).real
-        probs[k] = max(0.0, p)
-        images.append(img)
-    if abs(probs.sum() - 1.0) > _BRANCH_SUM_TOL:
-        raise InvariantViolation(f"branch probabilities sum to {probs.sum():.12g}, not 1")
+def _branch_probs(inst: Instrument, states: np.ndarray) -> tuple:
+    """Branch probabilities ``(n, K)`` and images ``(n, K, d, d)`` of a stack of states."""
+    n, d = len(states), inst.dim
+    mats = np.stack([inst.op(label).mat for label in inst.outcomes])
+    images = (mats @ states.reshape(n, 1, d * d, 1)).reshape(n, len(mats), d, d)
+    probs = np.maximum(0.0, np.trace(images, axis1=2, axis2=3).real)
+    sums = probs.sum(axis=1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > _BRANCH_SUM_TOL)
+    if bad.size:
+        raise InvariantViolation(f"branch probabilities sum to {sums[bad[0]]:.12g}, not 1")
     return probs, images
 
 
-def _uniforms(seed: int, trials: int, steps: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    return gen.random((trials, steps))
-
-
 def sample_sequence(instruments, prior=None, rng_seed: int = 0) -> Trajectory:
-    """Sample one trajectory through a sequence of instruments."""
-    dim = _check_uniform_dim(instruments)
-    rho = _as_state(prior, dim)
-    u = _uniforms(rng_seed, 1, len(instruments))[0]
-    steps = []
-    for inst, us in zip(instruments, u):
-        probs, images = _branch_probs(inst, rho)
-        cum = np.cumsum(probs)
-        k = min(int(np.searchsorted(cum, us, side="right")), len(probs) - 1)
-        if probs[k] < _ZERO_BRANCH:
-            raise ZeroProbabilityBranch(
-                f"outcome '{inst.outcomes[k]}' selected with probability {probs[k]:.3e}"
-            )
-        rho = images[k] / probs[k]
-        steps.append((inst.name, inst.outcomes[k]))
-    return Trajectory(rng_seed, tuple(steps))
+    """Sample one trajectory: the one-trial case of the outcome-matrix sampler."""
+    row = _sample_outcome_matrix(instruments, prior, 1, rng_seed)[0]
+    return Trajectory(rng_seed, tuple((i.name, i.outcomes[k]) for i, k in zip(instruments, row)))
 
 
 def exact_sequence_probability(instruments, outcomes_at, prior=None) -> float:
@@ -141,38 +128,27 @@ def exact_sequence_probability(instruments, outcomes_at, prior=None) -> float:
 def _sample_outcome_matrix(instruments, prior, trials: int, seed: int) -> np.ndarray:
     """Vectorised sampler: outcome index per (trial, step).
 
-    Distinct outcome histories form a small tree of states, so branch
-    probabilities are computed once per tree node and trials are advanced in
-    bulk with searchsorted over each node's cumulative branch weights.
+    ``states`` holds one state per occupied node and ``node`` each trial's
+    node; the occupied children ``node * K + outcome`` are renumbered in order.
     """
     dim = _check_uniform_dim(instruments)
-    u = _uniforms(seed, trials, len(instruments))
-    states = [_as_state(prior, dim)]
+    u = np.random.Generator(np.random.Philox(key=seed)).random((trials, len(instruments)))
+    states = _as_state(prior, dim)[None]
     node = np.zeros(trials, dtype=np.int64)
     outcomes = np.empty((trials, len(instruments)), dtype=np.int64)
     for s, inst in enumerate(instruments):
         k_count = len(inst.outcomes)
-        probs = np.zeros((len(states), k_count))
-        children = []
-        occupied = np.bincount(node, minlength=len(states)) > 0
-        for i, rho in enumerate(states):
-            if rho is None or not occupied[i]:
-                children.extend([None] * k_count)
-                continue
-            p, images = _branch_probs(inst, rho)
-            probs[i] = p
-            children.extend(
-                img / pk if pk >= _ZERO_BRANCH else None for img, pk in zip(images, p)
-            )
+        probs, images = _branch_probs(inst, states)
         cum = np.cumsum(probs, axis=1)
-        idx = (u[:, s][:, None] > cum[node]).sum(axis=1)
-        idx = np.minimum(idx, k_count - 1)
-        chosen = probs[node, idx]
-        if np.any(chosen < _ZERO_BRANCH):
+        idx = np.minimum((u[:, s][:, None] > cum[node]).sum(axis=1), k_count - 1)
+        if np.any(probs[node, idx] < _ZERO_BRANCH):
             raise ZeroProbabilityBranch("a numerically zero branch was selected")
         outcomes[:, s] = idx
-        node = node * k_count + idx
-        states = children
+        code = node * k_count + idx
+        occupied = np.bincount(code, minlength=probs.size) > 0
+        node = (np.cumsum(occupied) - 1)[code]
+        parent, child = np.divmod(np.flatnonzero(occupied), k_count)
+        states = images[parent, child] / probs[parent, child][:, None, None]
     return outcomes
 
 

@@ -93,6 +93,43 @@ def luders_resolution(gen, n):
     ]
 
 
+def unsharp_instrument(gen, n, k):
+    """A random unsharp instrument: ``k`` effects mixing the projectors of a
+    random basis, each applied through its square-root Kraus operator."""
+    u = rand_unitary(gen, n)
+    w = gen.dirichlet(np.ones(k), size=n)
+    ops = {}
+    for j in range(k):
+        root = (u * np.sqrt(w[:, j])) @ u.conj().T
+        ops[f"e{j}"] = r.from_kraus([root])
+    return r.make_instrument(ops, name=f"U{n}x{k}")
+
+
+def philox_row(seed, trial, steps):
+    """The sampler's uniforms for one trial, read from the flat Philox counter
+    positions ``trial * steps ... trial * steps + steps - 1``."""
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    gen.random(trial * steps)
+    return gen.random(steps)
+
+
+def scalar_outcomes(instruments, rho, u):
+    """Reference sampler: one trajectory's outcome indices, one state at a time.
+
+    At each step the branch weights ``tr[op_x(rho)]`` (clamped at 0) are
+    searched for the step's uniform ``u[s]`` and the state is replaced by the
+    chosen image over its weight.
+    """
+    out = []
+    for inst, us in zip(instruments, u):
+        images = [r.apply(inst.op(label), rho) for label in inst.outcomes]
+        probs = np.array([max(0.0, np.trace(img).real) for img in images])
+        k = min(int(np.searchsorted(np.cumsum(probs), us, side="right")), len(probs) - 1)
+        rho = images[k] / probs[k]
+        out.append(k)
+    return out
+
+
 # Qubit fixtures: Z and X eigenprojectors and their Lüders operations.
 PZP = np.array([[1, 0], [0, 0]], dtype=complex)
 PZM = np.array([[0, 0], [0, 1]], dtype=complex)

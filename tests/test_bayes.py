@@ -218,6 +218,19 @@ def test_bayes_rejects_bad_resolution():
         r.bayes_retrodict([r.scale(r.unit(2), 3.0)], ops["px+"], 0)
 
 
+def test_bayes_accepts_zero_weight_member():
+    # An instrument may have a zero component; as a resolution member it
+    # contributes the term 0 to the Bayes sum, and its own posterior is 0.
+    inst = r.make_instrument({"a": r.unit(2), "b": r.zero(2)})
+    res = [inst.op("a"), inst.op("b")]
+    gen = rng(71)
+    for cond in (r.projecting(PXP), rand_operation(gen, 2)):
+        assert abs(r.bayes_retrodict(res, cond, 0) - r.p_retro(r.unit(2), cond)) < 1e-12
+        assert abs(r.bayes_predict(res, cond, 0) - r.p_pred(r.unit(2), cond)) < 1e-12
+        assert r.bayes_retrodict(res, cond, 1) == 0.0
+        assert r.bayes_predict(res, cond, 1) == 0.0
+
+
 def test_bayes_rejects_zero_condition():
     ops = qubit_ops()
     res = [ops["pz+"], ops["pz-"]]

@@ -4,7 +4,18 @@ import pytest
 import retroops as r
 from retroops.errors import InvariantViolation, NoConditionHits, ValidationError, ZeroCondition
 
-from helpers import PZP, rng, x_instrument, z_instrument
+from helpers import (
+    PZM,
+    PZP,
+    luders_resolution,
+    philox_row,
+    rand_unitary,
+    rng,
+    scalar_outcomes,
+    unsharp_instrument,
+    x_instrument,
+    z_instrument,
+)
 
 
 def test_sample_sequence_deterministic():
@@ -75,17 +86,47 @@ def test_estimate_matches_conditional_probability():
 
 
 def test_estimate_agrees_with_scalar_sampler():
-    # The vectorised sampler and the one-trajectory sampler draw identical
-    # outcome sequences from the same seed stream.
-    z, x = z_instrument(), x_instrument()
+    # Every trial row of the vectorised outcome matrix is the trajectory the
+    # one-state-at-a-time reference draws from that row's Philox uniforms,
+    # and sample_sequence is its first row.
     from retroops.sim import _sample_outcome_matrix
 
-    outcomes = _sample_outcome_matrix([z, x, z], None, 1, seed=123)
-    traj = r.sample_sequence([z, x, z], rng_seed=123)
-    got = tuple(
-        inst.outcomes[k] for inst, k in zip([z, x, z], outcomes[0])
-    )
-    assert got == tuple(step[1] for step in traj.steps)
+    gen = rng(90)
+    for n in (2, 3):
+        sharp = r.make_instrument(
+            {str(j): op for j, op in enumerate(luders_resolution(gen, n))}, name=f"L{n}"
+        )
+        unsharp = unsharp_instrument(gen, n, 3)
+        u = rand_unitary(gen, n)
+        mixed = (u * gen.dirichlet(np.ones(n))) @ u.conj().T
+        for insts in ([sharp, unsharp, sharp, unsharp, unsharp], [unsharp, sharp, sharp, unsharp]):
+            for prior in (None, mixed, np.outer(u[:, 0], u[:, 0].conj())):
+                seed = int(gen.integers(2**32))
+                outcomes = _sample_outcome_matrix(insts, prior, 200, seed)
+                rho = np.eye(n, dtype=complex) / n if prior is None else prior
+                for t in range(200):
+                    want = scalar_outcomes(insts, rho, philox_row(seed, t, len(insts)))
+                    assert outcomes[t].tolist() == want
+                traj = r.sample_sequence(insts, prior, rng_seed=seed)
+                assert traj.steps == tuple(
+                    (i.name, i.outcomes[k]) for i, k in zip(insts, outcomes[0])
+                )
+
+
+def test_deep_sequence_occupied_nodes_only():
+    # 70 alternating Z/X steps have 2**70 histories, more than int64 node
+    # ids can number, of which at most the 2000 trials' are occupied.
+    from retroops.sim import _sample_outcome_matrix
+
+    z, x = z_instrument(), x_instrument()
+    insts = [z, x] * 35
+    rep = r.estimate(insts, condition=(69, "+"), target=(0, "+"), trials=2000, seed=8)
+    assert rep.exact == 0.5
+    assert rep.abs_err < 5.0 * rep.std_err
+    a = _sample_outcome_matrix(insts, None, 2000, 8)
+    assert np.array_equal(a, _sample_outcome_matrix(insts, None, 2000, 8))
+    for t in (0, 1, 999, 1999):
+        assert a[t].tolist() == scalar_outcomes(insts, np.eye(2) / 2, philox_row(8, t, 70))
 
 
 def test_estimate_validation():
@@ -122,9 +163,25 @@ def test_branch_probabilities_sum_to_one():
     from retroops.sim import _branch_probs
 
     z = z_instrument()
-    probs, images = _branch_probs(z, np.eye(2, dtype=complex) / 2)
-    assert abs(probs.sum() - 1.0) < 1e-12
-    assert np.allclose(probs, [0.5, 0.5])
+    states = np.stack([np.eye(2, dtype=complex) / 2, PZP])
+    probs, images = _branch_probs(z, states)
+    assert probs.shape == (2, 2) and images.shape == (2, 2, 2, 2)
+    assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.allclose(probs, [[0.5, 0.5], [1.0, 0.0]])
+    assert np.allclose(images[1, 0], PZP) and np.allclose(images[1, 1], 0)
+
+
+def test_branch_sum_violation_reports_first_node():
+    # Components summing to diag(1 - 2e-9, 1 - 4e-9) pass the instrument's
+    # 1e-8 sum check but not the sampler's 1e-10 branch check; after a Z step
+    # both nodes fail, and the message names the first node's sum.
+    z = z_instrument()
+    lossy = r.make_instrument(
+        {"+": r.scale(r.projecting(PZP), 1 - 2e-9), "-": r.scale(r.projecting(PZM), 1 - 4e-9)},
+        name="lossy",
+    )
+    with pytest.raises(InvariantViolation, match=r"^branch probabilities sum to 0\.999999998, not 1$"):
+        r.estimate([z, lossy], condition=(1, "+"), target=(0, "+"), trials=100, seed=1)
 
 
 def test_empirical_frequency_three_steps():
