@@ -37,10 +37,8 @@ __all__ = [
 #: Bayes formulas are only valid for finite resolutions; reject absurd sizes.
 MAX_RESOLUTION_SIZE = 10_000
 
-#: Absolute tolerance on ``|sum(I) - I|`` and ``|adjoint(sum)(I) - I|`` for
-#: the trivial sum of a resolution or an instrument; looser than the
-#: arithmetic tolerance because sums accumulate error over many members.
-SUM_TOL = 1e-8
+#: The trivial-sum bound ``10 * tol`` of a resolution at the default tolerance.
+SUM_TOL = 10 * DEFAULT_TOL
 
 
 def _as_probability(value: complex, tol: float) -> float:
@@ -99,8 +97,9 @@ def p_prior(a: Superoperator, tol: float = DEFAULT_TOL, check: bool = True) -> f
     return _as_probability(_weight(a, tol) / a.dim, tol)
 
 
-def _require_trivial_sum(ops, error, what: str) -> None:
-    """Raise ``error`` unless ``ops`` sum to a trivial map within :data:`SUM_TOL`.
+def _require_trivial_sum(ops, tol: float, error, what: str) -> None:
+    """Raise ``error`` unless ``|sum(I) - I|`` and ``|adjoint(sum)(I) - I|``
+    are within ``10 * tol`` entrywise, the tier for sums over members.
 
     The one trivial-sum check, shared by Bayes resolutions and instruments.
     """
@@ -108,7 +107,7 @@ def _require_trivial_sum(ops, error, what: str) -> None:
     eye = np.eye(total.dim)
     dev_out = float(np.abs(apply(total, eye) - eye).max())
     dev_in = float(np.abs(apply(adjoint(total), eye) - eye).max())
-    if dev_out > SUM_TOL or dev_in > SUM_TOL:
+    if max(dev_out, dev_in) > 10 * tol:
         raise error(f"{what}; |sum(I) - I| = {dev_out:.3e}, |adjoint(sum)(I) - I| = {dev_in:.3e}")
 
 
@@ -119,7 +118,7 @@ def _check_resolution(a_list, tol: float) -> None:
         raise NotResolution(f"resolution size {len(a_list)} exceeds {MAX_RESOLUTION_SIZE}")
     for k, a in enumerate(a_list):
         _require_operation(a, tol, f"resolution member {k}")
-    _require_trivial_sum(a_list, NotResolution, "members must sum to a trivial operation")
+    _require_trivial_sum(a_list, tol, NotResolution, "members must sum to a trivial operation")
 
 
 def _bayes(cond, a_list, b: Superoperator, j: int, tol: float) -> float:

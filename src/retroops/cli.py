@@ -17,8 +17,8 @@ A scenario is a JSON document::
     }
 
 Complex scalars are two-element ``[re, im]`` arrays (bare numbers are taken
-as real); matrices are row-major nested arrays.  Definitions may reference
-earlier names only.  Every operation entry is classified at load time.
+as real) and must be finite; matrices are row-major nested arrays.
+Definitions may reference earlier names only.
 
 Exit codes: 0 success, 2 parse/validation failure, 3 numerical invariant
 violation.  ``--json`` switches output from the human-readable rendering to
@@ -59,12 +59,17 @@ BUILDERS = ("unit", "zero", "projector", "unitary", "sum")
 # JSON <-> numeric conversions
 # ----------------------------------------------------------------------------
 
+def _is_finite(x) -> bool:
+    """A JSON number, not a bool, that converts to a finite float."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
 def _parse_scalar(x, where: str) -> complex:
-    if isinstance(x, (int, float)):
+    if _is_finite(x):
         return complex(x)
-    if isinstance(x, list) and len(x) == 2 and all(isinstance(v, (int, float)) for v in x):
+    if isinstance(x, list) and len(x) == 2 and all(_is_finite(v) for v in x):
         return complex(x[0], x[1])
-    raise ValidationError(f"{where}: expected a number or [re, im] pair, got {x!r}")
+    raise ValidationError(f"{where}: expected a finite number or [re, im] pair, got {x!r}")
 
 
 def _parse_matrix(rows, where: str) -> np.ndarray:
@@ -94,7 +99,6 @@ class Scenario:
     dim: int
     matrices: dict = field(default_factory=dict)
     operations: dict = field(default_factory=dict)
-    classes: dict = field(default_factory=dict)
     instruments: dict = field(default_factory=dict)
     tasks: list = field(default_factory=list)
 
@@ -145,8 +149,8 @@ def _build_operation(scn: Scenario, name: str, defn: dict, tol: float) -> Supero
     if not isinstance(refs, list) or not refs:
         raise ValidationError(f"'{name}': sum builder needs a nonempty list in 'of'")
     weights = defn.get("weights", [1.0] * len(refs))
-    if len(weights) != len(refs):
-        raise ValidationError(f"'{name}': weights length differs from 'of' length")
+    if not (isinstance(weights, list) and len(weights) == len(refs) and all(_is_finite(w) and w >= 0 for w in weights)):
+        raise ValidationError(f"'{name}': weights must be {len(refs)} finite real numbers >= 0, got {weights!r}")
     total = superop.zero(scn.dim)
     for ref, w in zip(refs, weights):
         if ref not in scn.operations:
@@ -197,9 +201,7 @@ def parse_scenario(text: str, tol: float = DEFAULT_TOL) -> Scenario:
                     ops[label] = _build_operation(scn, f"{name}:{label}", ref, tol)
             scn.instruments[name] = instr_mod.make_instrument(ops, name=name, tol=tol)
         else:
-            op = _build_operation(scn, name, defn, tol)
-            scn.operations[name] = op
-            scn.classes[name] = superop.classify(op, tol)
+            scn.operations[name] = _build_operation(scn, name, defn, tol)
     return scn
 
 

@@ -55,7 +55,7 @@ def make_instrument(ops, name: str = "", tol: float = DEFAULT_TOL) -> Instrument
 
     An instrument is a labelled resolution: every component must be an
     operation and the components must sum to a trivial map within
-    :data:`SUM_TOL`, by the same check the Bayes formulas apply to a
+    ``10 * tol``, by the same check the Bayes formulas apply to a
     resolution; otherwise :class:`NotOperation` or :class:`NotTrivialSum` is
     raised.
     """
@@ -69,7 +69,7 @@ def make_instrument(ops, name: str = "", tol: float = DEFAULT_TOL) -> Instrument
     for label in labels:
         if not classify(ops[label], tol).operation:
             raise NotOperation(f"instrument '{name}': component '{label}' is not an operation")
-    _require_trivial_sum(ops.values(), NotTrivialSum, f"instrument '{name}': component sum is not trivial")
+    _require_trivial_sum(ops.values(), tol, NotTrivialSum, f"instrument '{name}': component sum is not trivial")
     return Instrument(name, dim, labels, MappingProxyType(dict(ops)))
 
 

@@ -6,6 +6,13 @@ package (positivity tests, Kraus extraction, operator norms) is built on it.
 
 Values are treated as immutable after construction and may be shared freely
 across concurrent tasks.
+
+Tolerance policy: every bound derives from the caller's ``tol``.  Values the
+package normalised itself (a state's trace and Hermiticity, the sampler's
+branch sums) are checked within ``tol / 10``; spectra, Loewner tests,
+probabilities and identity residuals within ``tol``; sums over resolution
+members, which accumulate error, within ``10 * tol``.  The sampler's 1e-15
+floor for a selected branch is a rounding floor, not a tolerance.
 """
 
 from __future__ import annotations
@@ -16,8 +23,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NotHermitian
 
-#: Default relative tolerance for all predicates, anchored at
-#: ``max(1, magnitude of the largest eigenvalue)`` of the quantity under test.
+#: Default ``tol`` (see the tolerance policy above); spectral tests anchor it
+#: at ``max(1, magnitude of the largest eigenvalue)`` of the quantity under test.
 DEFAULT_TOL = 1e-9
 
 #: Off-diagonal Frobenius mass (relative to the input scale) at which the
@@ -43,15 +50,15 @@ def _same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
 
 
-def _hermitian_defect(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m - m.conj().T))
-
-
-def _require_hermitian(m: np.ndarray, tol: float, what: str = "matrix") -> None:
-    defect = _hermitian_defect(m)
+def _require_hermitian(m: np.ndarray, tol: float, what: str = "matrix") -> np.ndarray:
+    """The Hermitian part ``(m + m*) / 2`` of ``m``, or :class:`NotHermitian`
+    unless ``|m - m*|_F <= tol * max(1, |m|_F)``.  The Frobenius norm is
+    unitarily invariant, so the verdict does not depend on the basis."""
+    defect = float(np.linalg.norm(m - m.conj().T))
     scale = max(1.0, float(np.linalg.norm(m)))
     if defect > tol * scale:
         raise NotHermitian(f"{what} deviates from Hermitian by {defect:.3e} (scale {scale:.3e})")
+    return (m + m.conj().T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -80,10 +87,8 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL, max_sweeps: int = JACOBI_MAX_SWEE
     ``tol`` and :class:`NoConvergence` if the off-diagonal mass fails to fall
     below ``JACOBI_CONVERGENCE * scale`` within ``max_sweeps`` sweeps.
     """
-    m = as_matrix(m)
-    _require_hermitian(m, max(tol, DEFAULT_TOL))
-    n = m.shape[0]
-    a = (m + m.conj().T) / 2.0
+    a = _require_hermitian(as_matrix(m), tol)
+    n = a.shape[0]
     v = np.eye(n, dtype=complex)
     if n == 1:
         return EigSystem(np.array([a[0, 0].real]), v)
@@ -135,11 +140,9 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL, max_sweeps: int = JACOBI_MAX_SWEE
     return EigSystem(eigenvalues[order], v[:, order])
 
 
-def _eig_psd(eig: EigSystem, tol: float) -> bool:
-    """The test of :func:`is_psd` on an already computed spectrum."""
-    lo = eig.eigenvalues[0]
-    hi = eig.eigenvalues[-1]
-    return bool(lo >= -tol * max(1.0, abs(hi)))
+def _eig_psd(eigenvalues: np.ndarray, tol: float) -> bool:
+    """The test of :func:`is_psd` on an already computed ascending spectrum."""
+    return bool(eigenvalues[0] >= -tol * max(1.0, abs(eigenvalues[-1])))
 
 
 def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
@@ -147,7 +150,7 @@ def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
 
     The test is ``min eigenvalue >= -tol * max(1, |max eigenvalue|)``.
     """
-    return _eig_psd(hermitian_eig(m, tol=tol), tol)
+    return _eig_psd(hermitian_eig(m, tol=tol).eigenvalues, tol)
 
 
 def loewner_leq(a, b, tol: float = DEFAULT_TOL) -> bool:
@@ -155,9 +158,7 @@ def loewner_leq(a, b, tol: float = DEFAULT_TOL) -> bool:
     a = as_matrix(a)
     b = as_matrix(b)
     _same_dim(a, b)
-    _require_hermitian(a, tol, "left operand")
-    _require_hermitian(b, tol, "right operand")
-    return is_psd(b - a, tol)
+    return is_psd(_require_hermitian(b, tol, "right operand") - _require_hermitian(a, tol, "left operand"), tol)
 
 
 def trace(m) -> complex:

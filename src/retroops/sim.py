@@ -40,7 +40,7 @@ from . import bayes
 
 __all__ = ["Trajectory", "FreqReport", "sample_sequence", "estimate", "exact_sequence_probability"]
 
-_BRANCH_SUM_TOL = 1e-10
+#: Rounding floor for a selected branch's probability, not a tolerance.
 _ZERO_BRANCH = 1e-15
 
 
@@ -73,11 +73,10 @@ def _as_state(prior, dim: int) -> np.ndarray:
     matrix must pass :class:`DensityMatrix` validation."""
     if prior is None:
         return np.eye(dim, dtype=complex) / dim
-    raw = not isinstance(prior, DensityMatrix)
-    m = np.asarray(prior, dtype=complex) if raw else prior.matrix
+    m = (prior if isinstance(prior, DensityMatrix) else DensityMatrix(prior)).matrix
     if m.shape != (dim, dim):
         raise DimensionMismatch(f"prior state has shape {m.shape}, expected ({dim}, {dim})")
-    return DensityMatrix(m).matrix if raw else m
+    return m
 
 
 def _check_uniform_dim(instruments) -> int:
@@ -89,14 +88,14 @@ def _check_uniform_dim(instruments) -> int:
     return dims.pop()
 
 
-def _branch_probs(inst: Instrument, states: np.ndarray) -> tuple:
+def _branch_probs(inst: Instrument, states: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
     """Branch probabilities ``(n, K)`` and images ``(n, K, d, d)`` of a stack of states."""
     n, d = len(states), inst.dim
     mats = np.stack([inst.op(label).mat for label in inst.outcomes])
     images = (mats @ states.reshape(n, 1, d * d, 1)).reshape(n, len(mats), d, d)
     probs = np.maximum(0.0, np.trace(images, axis1=2, axis2=3).real)
     sums = probs.sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > _BRANCH_SUM_TOL)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > tol / 10)
     if bad.size:
         raise InvariantViolation(f"branch probabilities sum to {sums[bad[0]]:.12g}, not 1")
     return probs, images
@@ -125,7 +124,7 @@ def exact_sequence_probability(instruments, outcomes_at, prior=None) -> float:
     return float(np.trace(rho).real)
 
 
-def _sample_outcome_matrix(instruments, prior, trials: int, seed: int) -> np.ndarray:
+def _sample_outcome_matrix(instruments, prior, trials: int, seed: int, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Vectorised sampler: outcome index per (trial, step).
 
     ``states`` holds one state per occupied node and ``node`` each trial's
@@ -138,7 +137,7 @@ def _sample_outcome_matrix(instruments, prior, trials: int, seed: int) -> np.nda
     outcomes = np.empty((trials, len(instruments)), dtype=np.int64)
     for s, inst in enumerate(instruments):
         k_count = len(inst.outcomes)
-        probs, images = _branch_probs(inst, states)
+        probs, images = _branch_probs(inst, states, tol)
         cum = np.cumsum(probs, axis=1)
         idx = np.minimum((u[:, s][:, None] > cum[node]).sum(axis=1), k_count - 1)
         if np.any(probs[node, idx] < _ZERO_BRANCH):
@@ -168,7 +167,7 @@ def estimate(
     probabilities, which for the maximally mixed prior coincides with the
     instrument-level conditional probabilities (predictive or retrodictive
     according to the temporal order of the two steps).  Deterministic for a
-    fixed seed.
+    fixed seed.  A raw ``prior`` is checked at ``tol``, branch sums at ``tol / 10``.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -179,6 +178,8 @@ def estimate(
             raise ValidationError(f"step index {step} out of range")
         if out not in instruments[step].ops:
             raise ValidationError(f"instrument '{instruments[step].name}' has no outcome '{out}'")
+    if prior is not None and not isinstance(prior, DensityMatrix):
+        prior = DensityMatrix(prior, tol)
 
     p_cond = exact_sequence_probability(instruments, {c_step: c_out}, prior)
     if p_cond <= tol:
@@ -189,7 +190,7 @@ def estimate(
         p_joint = exact_sequence_probability(instruments, {c_step: c_out, t_step: t_out}, prior)
     exact = bayes._as_probability(complex(p_joint / p_cond), tol)
 
-    outcomes = _sample_outcome_matrix(instruments, prior, trials, seed)
+    outcomes = _sample_outcome_matrix(instruments, prior, trials, seed, tol)
     c_idx = instruments[c_step].outcomes.index(c_out)
     t_idx = instruments[t_step].outcomes.index(t_out)
     mask_c = outcomes[:, c_step] == c_idx

@@ -21,12 +21,12 @@ bridges the states back to the conditional probability functionals:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, ValidationError, ZeroCondition
-from .matcore import DEFAULT_TOL, as_matrix, is_psd, loewner_leq
+from .errors import InvariantViolation, NotHermitian, ValidationError, ZeroCondition
+from .matcore import DEFAULT_TOL, _eig_psd, _require_hermitian, _same_dim, as_matrix, hermitian_eig, is_psd
 from .superop import Superoperator, adjoint, apply
 from .bayes import _require_operation
 from . import instrument as _instr
@@ -41,26 +41,23 @@ __all__ = [
     "expect",
 ]
 
-_HERM_TOL = 1e-10
-_PSD_TOL = 1e-9
-_TRACE_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A positive unit-trace matrix; validated at construction."""
+    """A positive unit-trace matrix; validated at construction, storing the Hermitian part."""
 
     matrix: np.ndarray
+    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self):
-        m = as_matrix(self.matrix)
-        if np.abs(m - m.conj().T).max() > _HERM_TOL:
-            raise InvariantViolation("density matrix is not Hermitian within 1e-10")
-        if not is_psd(m, _PSD_TOL):
-            raise InvariantViolation("density matrix is not positive semidefinite within 1e-9")
-        if abs(np.trace(m) - 1.0) > _TRACE_TOL:
-            raise InvariantViolation(f"density matrix trace {np.trace(m):.12g} is not 1 within 1e-10")
-        m = m.copy()
+    def __post_init__(self, tol):
+        try:
+            m = _require_hermitian(as_matrix(self.matrix), tol / 10, "density matrix")
+        except NotHermitian:
+            raise InvariantViolation(f"density matrix is not Hermitian within {tol / 10:g}") from None
+        if not is_psd(m, tol):
+            raise InvariantViolation(f"density matrix is not positive semidefinite within {tol:g}")
+        if abs(np.trace(m) - 1.0) > tol / 10:
+            raise InvariantViolation(f"density matrix trace {np.trace(m):.12g} is not 1 within {tol / 10:g}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -71,29 +68,26 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Effect:
-    """A Hermitian matrix between 0 and the identity in the Loewner order."""
+    """A Hermitian matrix between 0 and the identity in the Loewner order, tested on one spectrum."""
 
     matrix: np.ndarray
+    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self):
-        m = as_matrix(self.matrix)
-        if not is_psd(m, _PSD_TOL) or not loewner_leq(m, np.eye(m.shape[0]), _PSD_TOL):
+    def __post_init__(self, tol):
+        m = _require_hermitian(as_matrix(self.matrix), tol, "effect")
+        spectrum = hermitian_eig(m, tol).eigenvalues
+        if not (_eig_psd(spectrum, tol) and _eig_psd(1.0 - spectrum[::-1], tol)):
             raise InvariantViolation("effect must satisfy 0 <= E <= I")
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
-
-
 def _normalized_image(m: np.ndarray, tol: float) -> DensityMatrix:
-    m = _hermitize(m)
+    m = _require_hermitian(m, tol, "operation image")
     w = float(np.trace(m).real)
     if w <= tol:
         raise ZeroCondition("operation has zero event weight; no state is inferable")
-    return DensityMatrix(m / w)
+    return DensityMatrix(m / w, tol)
 
 
 def state_prior(a: Superoperator, tol: float = DEFAULT_TOL, check: bool = True) -> DensityMatrix:
@@ -125,14 +119,13 @@ def state_of_instrument(inst, event, direction: str = "prior", tol: float = DEFA
 def effects_of(a: Superoperator, tol: float = DEFAULT_TOL) -> tuple:
     """The effect pair ``(sum M_k* M_k, sum M_k M_k*)`` of an operation."""
     _require_operation(a, tol, "argument")
-    m_in = _hermitize(apply(adjoint(a), np.eye(a.dim)))
-    m_out = _hermitize(apply(a, np.eye(a.dim)))
-    return Effect(m_in), Effect(m_out)
+    return Effect(apply(adjoint(a), np.eye(a.dim)), tol), Effect(apply(a, np.eye(a.dim)), tol)
 
 
 def expect(rho: DensityMatrix, obs, tol: float = DEFAULT_TOL) -> float:
     """Expectation ``tr(rho @ obs)`` of a Hermitian observable in a state."""
     obs = as_matrix(obs)
+    _same_dim(rho.matrix, obs)
     val = complex(np.trace(rho.matrix @ obs))
     if abs(val.imag) > tol * max(1.0, abs(val.real)):
         raise InvariantViolation(f"expectation has imaginary part {val.imag:.3e}")

@@ -47,7 +47,7 @@ from .errors import (
     NotProjector,
     NotUnitary,
 )
-from .matcore import DEFAULT_TOL, _eig_psd, as_matrix, hermitian_eig, is_psd
+from .matcore import DEFAULT_TOL, _eig_psd, _require_hermitian, as_matrix, hermitian_eig, is_psd
 
 __all__ = [
     "Superoperator",
@@ -248,11 +248,10 @@ def _choi_eig(a: Superoperator, tol: float):
 
 
 def _compute_choi_eig(a: Superoperator, tol: float):
-    choi = reshuffle(a).mat
-    defect = float(np.abs(choi - choi.conj().T).max())
-    if defect > max(tol, DEFAULT_TOL) * max(1.0, float(np.linalg.norm(choi))):
+    try:
+        eig = hermitian_eig(reshuffle(a).mat, tol=tol)
+    except NotHermitian:
         return None
-    eig = hermitian_eig((choi + choi.conj().T) / 2.0, tol=tol)
     eig.eigenvalues.setflags(write=False)
     eig.eigenvectors.setflags(write=False)
     return eig
@@ -275,7 +274,7 @@ def extract_kraus(a: Superoperator, tol: float = DEFAULT_TOL) -> KrausSet:
     round trip through :func:`from_kraus`, never operator by operator.
     """
     eig = _choi_eig(a, tol)
-    if eig is None or not _eig_psd(eig, tol):
+    if eig is None or not _eig_psd(eig.eigenvalues, tol):
         raise NotCP("Kraus extraction requires a completely positive map")
     return _kraus_from_eig(eig, a.dim, tol)
 
@@ -297,7 +296,7 @@ def _classify(a: Superoperator, tol: float) -> OperationClass:
     eye = np.eye(a.dim)
     positive = is_positive(a, tol)
     choi_eig = _choi_eig(a, tol)
-    cp = choi_eig is not None and _eig_psd(choi_eig, tol)
+    cp = choi_eig is not None and _eig_psd(choi_eig.eigenvalues, tol)
     out_img = apply(a, eye)
     in_img = apply(adjoint(a), eye)
     sub_unital = _psd(eye - out_img, tol)
@@ -333,8 +332,12 @@ def zero(dim: int) -> Superoperator:
 def projecting(p, tol: float = DEFAULT_TOL) -> Superoperator:
     """The map ``A -> P A P`` for a projector ``P``."""
     p = as_matrix(p)
-    if np.abs(p - p.conj().T).max() > tol or np.abs(p @ p - p).max() > tol:
-        raise NotProjector("input must satisfy P = P* = P^2 within tolerance")
+    try:
+        _require_hermitian(p, tol, "projector")
+    except NotHermitian as e:
+        raise NotProjector(f"input must satisfy P = P*: {e}") from None
+    if np.abs(p @ p - p).max() > tol:
+        raise NotProjector("input must satisfy P = P^2 within tolerance")
     return from_kraus([p])
 
 

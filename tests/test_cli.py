@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import retroops as r
-from retroops import cli
+from retroops import cli, superop
 from retroops.errors import ParseError, ValidationError
 
 HERE = Path(__file__).parent
@@ -100,6 +100,31 @@ def test_exit_code_invariant_violation():
     assert json.loads(proc.stdout) == golden("error_offsum.json")
 
 
+def test_tol_reaches_the_sampler_branch_check():
+    # Branch sums are checked within tol / 10: --tol 1e-6 admits the
+    # off-normalised instrument that the default tolerance rejects above.
+    proc = run_cli(
+        "--scenario", OFFSUM, "--tol", "1e-6", "--trials", "1000", "--json",
+        "simulate", "--steps", "Zoff", "--condition", "0:+", "--target", "0:+",
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["report"]["empirical"] == 1.0
+
+
+@pytest.mark.parametrize("defn", [
+    {"M": {"matrix": [[float("nan"), 0], [0, 0]]}},
+    {"k": {"kraus": [[[float("inf"), 0], [0, 0]]]}},
+    {"s": {"builder": "sum", "of": ["id"], "weights": [float("nan")]}},
+    {"s": {"builder": "sum", "of": ["id"], "weights": ["x"]}},
+    {"s": {"builder": "sum", "of": ["id"], "weights": [-1]}},
+], ids=["nan-matrix", "inf-kraus", "nan-weight", "string-weight", "negative-weight"])
+def test_malformed_numbers_are_validation_errors(tmp_path, capsys, defn):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 2, "definitions": {"id": {"builder": "unit"}, **defn}}))
+    assert cli.main(["--scenario", str(path), "--json", "check", "id"]) == cli.EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().out)["error"] == "ValidationError"
+
+
 def test_kraus_noncp_rejected(tmp_path):
     # A transpose-like tensor is not CP; kraus must fail with exit 2.
     doc = {
@@ -174,7 +199,7 @@ def test_parse_scenario_complex_entries():
     scn = cli.parse_scenario(json.dumps(doc))
     expected = np.array([[0.5, -0.5j], [0.5j, 0.5]])
     assert np.abs(scn.matrices["Py+"] - expected).max() == 0.0
-    assert scn.classes["py+"].operation
+    assert superop.classify(scn.operation("py+"), 1e-9).operation
 
 
 def test_parse_scenario_validation_messages():
@@ -188,10 +213,10 @@ def test_parse_scenario_validation_messages():
 
 def test_scenario_classes_recorded():
     scn = cli.load_scenario(QUBIT, 1e-9)
-    assert scn.classes["id"].trivial
-    assert scn.classes["deph"].trivial
-    assert not scn.classes["damp"].operation
-    assert scn.classes["damp"].cp
+    assert superop.classify(scn.operation("id"), 1e-9).trivial
+    assert superop.classify(scn.operation("deph"), 1e-9).trivial
+    assert not superop.classify(scn.operation("damp"), 1e-9).operation
+    assert superop.classify(scn.operation("damp"), 1e-9).cp
 
 
 def test_main_returns_int():

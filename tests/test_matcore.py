@@ -16,7 +16,8 @@ from retroops import (
     op_norm,
     trace,
 )
-from retroops.errors import DimensionMismatch
+import retroops as r
+from retroops.errors import DimensionMismatch, InvariantViolation
 
 from helpers import rand_hermitian, rand_matrix, rand_psd, rng
 
@@ -173,3 +174,27 @@ def test_eigsystem_is_frozen():
     assert isinstance(eig, EigSystem)
     with pytest.raises(AttributeError):
         eig.eigenvalues = None
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_one_hermitian_verdict_at_the_bound(tol, factor):
+    # |m - m*|_F = factor * tol and |m|_F < 1, so every check's bound is tol
+    # (a density matrix's Hermiticity is the tol / 10 tier, so it gets 10 * tol).
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] = factor * tol / np.sqrt(2)
+    checks = (
+        lambda: hermitian_eig(m, tol),
+        lambda: loewner_leq(m, np.eye(4), tol),
+        lambda: r.Effect(m, tol),
+        lambda: r.DensityMatrix(m, 10 * tol),
+    )
+    verdicts = []
+    for check in checks:
+        try:
+            check()
+            verdicts.append(True)
+        except (NotHermitian, InvariantViolation):
+            verdicts.append(False)
+    verdicts.append(r.classify(r.reshuffle(r.Superoperator(2, m)), tol).cp)
+    assert verdicts == [factor < 1] * 5

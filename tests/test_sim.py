@@ -226,3 +226,13 @@ def test_prior_must_be_a_density_matrix():
         r.sample_sequence([z], prior=bad)
     rho = r.DensityMatrix(PZP)
     assert r.exact_sequence_probability([z], {0: "+"}, prior=rho) == 1.0
+
+
+def test_estimate_checks_its_prior_at_its_tol():
+    # A prior with eigenvalue -1e-7 is a state at tol=1e-6, not at the default.
+    x = x_instrument()
+    prior = np.diag([1.0 + 1e-7, -1e-7]).astype(complex)
+    rep = r.estimate([x], condition=(0, "+"), target=(0, "+"), trials=100, prior=prior, tol=1e-6)
+    assert rep.exact == 1.0 and rep.empirical == 1.0
+    with pytest.raises(InvariantViolation):
+        r.estimate([x], condition=(0, "+"), target=(0, "+"), trials=100, prior=prior)

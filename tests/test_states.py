@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import retroops as r
-from retroops.errors import InvariantViolation, ValidationError, ZeroCondition
+from retroops.errors import DimensionMismatch, InvariantViolation, NotOperation, ValidationError, ZeroCondition
 
 from helpers import (
     PXP,
@@ -140,3 +140,24 @@ def test_expect_known_value():
     assert abs(r.expect(rho, sz)) < 1e-12
     sx = np.array([[0, 1], [1, 0]], dtype=float)
     assert abs(r.expect(rho, sx) - 1.0) < 1e-12
+
+
+def test_expect_rejects_wrong_shape():
+    with pytest.raises(DimensionMismatch):
+        r.expect(r.DensityMatrix(PXP), np.eye(3))
+
+
+def test_state_and_effect_checks_take_the_callers_tol():
+    # An operation at tol=1e-6 but not at the default: a(I) has eigenvalue -1e-7.
+    a = r.Superoperator(2, r.projecting(PZP).mat - 1e-7 * r.projecting(PZM).mat)
+    assert r.classify(a, 1e-6).operation
+    rho = r.state_posterior(a, tol=1e-6)
+    assert abs(rho.matrix[1, 1] + 1e-7) < 1e-12
+    m_in, m_out = r.effects_of(a, tol=1e-6)
+    assert abs(m_in.matrix[1, 1] + 1e-7) < 1e-15 and abs(m_out.matrix[1, 1] + 1e-7) < 1e-15
+    with pytest.raises(NotOperation):
+        r.state_posterior(a)
+    with pytest.raises(NotOperation):
+        r.effects_of(a)
+    with pytest.raises(InvariantViolation):
+        r.DensityMatrix(rho.matrix)

@@ -3,7 +3,8 @@
 ``classify`` and the Choi spectrum it shares with ``extract_kraus`` are
 memoised on the map per tolerance, and ``summed`` returns one map per
 (instrument, event).  Eigensolves are counted by wrapping
-``hermitian_eig`` in ``matcore`` and ``superop``, where the checks call it.
+``hermitian_eig`` in ``matcore``, ``superop`` and ``states``, where the
+checks call it.
 """
 
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import retroops as r
-from retroops import matcore, superop
+from retroops import matcore, states, superop
 
 from helpers import (
     luders_resolution,
@@ -38,6 +39,7 @@ def eig_calls(monkeypatch):
 
     monkeypatch.setattr(matcore, "hermitian_eig", counted)
     monkeypatch.setattr(superop, "hermitian_eig", counted)
+    monkeypatch.setattr(states, "hermitian_eig", counted)
     return calls
 
 
@@ -78,6 +80,17 @@ def test_first_check_eigensolves_once_per_map(eig_calls):
     r.p_pred(a, b)
     r.p_retro(b, a)
     assert len(eig_calls) == first
+
+
+def test_effect_tests_both_bounds_on_one_spectrum(eig_calls):
+    for m, ok in ((np.eye(3) * 0.3, True), (np.diag([0.0, 1.0]), True), (np.eye(2) * 1.5, False), (-np.eye(2), False)):
+        eig_calls.clear()
+        if ok:
+            r.Effect(m)
+        else:
+            with pytest.raises(r.InvariantViolation):
+                r.Effect(m)
+        assert len(eig_calls) == 1
 
 
 def test_extract_kraus_reuses_the_choi_spectrum_of_classify(eig_calls):
