@@ -16,6 +16,7 @@ p_retro(adjoint(a), adjoint(b))`` and symmetrically.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -159,6 +160,17 @@ def bayes_predict(a_list, b: Superoperator, j: int, tol: float = DEFAULT_TOL) ->
 
 
 def time_reverse(a: Superoperator, tol: float = DEFAULT_TOL) -> Superoperator:
-    """Time reversal of an operation: its adjoint, again an operation."""
+    """Time reversal of an operation: its adjoint, again an operation.
+
+    The adjoint's :func:`classify` record at ``tol`` is seeded from ``a``'s,
+    with ``sub_unital`` and ``sub_tracial`` swapped, so it costs no Choi
+    eigensolve.  This skips the adjoint's own Loewner/Kraus-sum cross-check.
+    That is sound: the adjoint's Kraus family is ``a``'s daggered, ``{M_k*}``,
+    so its Choi matrix has ``a``'s spectrum, its storage matrix is ``a``'s
+    conjugate transpose, and its two Kraus sums are ``a``'s swapped.
+    """
     _require_operation(a, tol, "argument")
-    return adjoint(a)
+    cls = classify(a, tol)
+    rev = adjoint(a)
+    rev._memo[("classify", tol)] = replace(cls, sub_unital=cls.sub_tracial, sub_tracial=cls.sub_unital)
+    return rev

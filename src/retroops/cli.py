@@ -43,7 +43,7 @@ from .errors import (
     RetroOpsError,
     ValidationError,
 )
-from .matcore import DEFAULT_TOL, hermitian_eig
+from .matcore import DEFAULT_TOL
 from .superop import Superoperator
 
 EXIT_OK = 0
@@ -358,7 +358,6 @@ def cmd_state(scn: Scenario, args, tol: float) -> dict:
             scn.operation(args.name), tol
         )
         source = {"operation": args.name}
-    eig = hermitian_eig(rho.matrix, tol)
     purity = float(np.trace(rho.matrix @ rho.matrix).real)
     return {
         "command": "state",
@@ -366,7 +365,7 @@ def cmd_state(scn: Scenario, args, tol: float) -> dict:
         **source,
         "tolerance": tol,
         "matrix": serialize_matrix(rho.matrix),
-        "eigenvalues": [float(v) for v in eig.eigenvalues],
+        "eigenvalues": [float(v) for v in rho.spectrum],
         "purity": purity,
     }
 
@@ -501,15 +500,26 @@ def _human_lines(report: dict) -> list:
     return lines
 
 
+def _tolerance(flag) -> float:
+    """``--tol``, else a nonempty ``RETRO_OP_TOL``, else the default; it must
+    be a finite number > 0, or :class:`ValidationError`."""
+    text = flag if flag is not None else os.environ.get(TOL_ENV_VAR) or DEFAULT_TOL
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = float("nan")
+    if not 0.0 < tol <= sys.float_info.max:
+        source = "--tol" if flag is not None else TOL_ENV_VAR
+        raise ValidationError(f"{source} must be a finite number > 0, got {text!r}")
+    return tol
+
+
 def main(argv=None) -> int:
     parser = _command_parser()
     args = parser.parse_args(argv)
     args.parser = parser
-    tol = args.tol
-    if tol is None:
-        env = os.environ.get(TOL_ENV_VAR)
-        tol = float(env) if env else DEFAULT_TOL
     try:
+        tol = _tolerance(args.tol)
         if not args.scenario:
             raise ValidationError("--scenario is required")
         scn = load_scenario(args.scenario, tol)

@@ -6,16 +6,18 @@ probability ``tr[op_x(rho)]`` and the state updates to ``op_x(rho)`` divided
 by that probability; the branch probabilities sum to one at every step
 because instrument components sum to a trace-preserving map.
 
-Trials with one outcome history share a node of the history tree.  Only
-occupied nodes are kept, renumbered in history order after each step, so a
-step handles at most ``min(trials, K**s)`` nodes in one batch and node ids
-stay below ``trials * K``.
+Trials with one outcome history share a node of the history tree.
+:func:`estimate` samples its trials in chunks of at most ``_CHUNK`` and keeps
+only the running counts, so its memory is O(chunk * steps) for any trial
+count.  Within a chunk only occupied nodes are kept, renumbered in history
+order after each step, so a step handles at most ``min(chunk, K**s)`` nodes
+in one batch and node ids stay below ``chunk * K``.
 
 Randomness comes from a Philox counter-based generator keyed by the 64-bit
 seed.  The uniform variate consumed by trial ``t`` at step ``s`` sits at
-flat counter position ``t * steps + s``, so any slice of trials can be
-regenerated independently of scheduling and results are bit-identical
-regardless of how trials are partitioned across workers.
+flat counter position ``t * steps + s``; consecutive draws from one
+generator continue that stream, so the chunks read exactly the uniforms one
+whole-matrix draw would, and results are bit-identical for any chunk size.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ __all__ = ["Trajectory", "FreqReport", "sample_sequence", "estimate", "exact_seq
 
 #: Rounding floor for a selected branch's probability, not a tolerance.
 _ZERO_BRANCH = 1e-15
+
+#: Trials per chunk in :func:`estimate`; results do not depend on it.
+_CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -88,10 +93,15 @@ def _check_uniform_dim(instruments) -> int:
     return dims.pop()
 
 
-def _branch_probs(inst: Instrument, states: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
-    """Branch probabilities ``(n, K)`` and images ``(n, K, d, d)`` of a stack of states."""
-    n, d = len(states), inst.dim
-    mats = np.stack([inst.op(label).mat for label in inst.outcomes])
+def _stack(inst: Instrument) -> np.ndarray:
+    """The component matrices ``(K, d*d, d*d)`` of an instrument, in outcome order."""
+    return np.stack([inst.op(label).mat for label in inst.outcomes])
+
+
+def _branch_probs(mats: np.ndarray, states: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
+    """Branch probabilities ``(n, K)`` and images ``(n, K, d, d)`` of a stack of
+    states under an instrument's stacked component matrices ``mats``."""
+    n, d = states.shape[:2]
     images = (mats @ states.reshape(n, 1, d * d, 1)).reshape(n, len(mats), d, d)
     probs = np.maximum(0.0, np.trace(images, axis1=2, axis2=3).real)
     sums = probs.sum(axis=1)
@@ -103,7 +113,8 @@ def _branch_probs(inst: Instrument, states: np.ndarray, tol: float = DEFAULT_TOL
 
 def sample_sequence(instruments, prior=None, rng_seed: int = 0) -> Trajectory:
     """Sample one trajectory: the one-trial case of the outcome-matrix sampler."""
-    row = _sample_outcome_matrix(instruments, prior, 1, rng_seed)[0]
+    gen = np.random.Generator(np.random.Philox(key=rng_seed))
+    row = _sample_outcome_matrix(instruments, prior, 1, gen)[0]
     return Trajectory(rng_seed, tuple((i.name, i.outcomes[k]) for i, k in zip(instruments, row)))
 
 
@@ -124,20 +135,31 @@ def exact_sequence_probability(instruments, outcomes_at, prior=None) -> float:
     return float(np.trace(rho).real)
 
 
-def _sample_outcome_matrix(instruments, prior, trials: int, seed: int, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Vectorised sampler: outcome index per (trial, step).
+def _sampler_setup(instruments, prior) -> tuple:
+    """The sampler's per-call work: the prior as a ``(1, d, d)`` state stack,
+    and each step's :func:`_stack`."""
+    dim = _check_uniform_dim(instruments)
+    return _as_state(prior, dim)[None], [_stack(inst) for inst in instruments]
+
+
+def _sample_outcome_matrix(
+    instruments, prior, trials: int, gen: np.random.Generator, tol: float = DEFAULT_TOL, setup=None
+) -> np.ndarray:
+    """Vectorised sampler: outcome index per (trial, step), from the next
+    ``trials * steps`` uniforms of ``gen``.
 
     ``states`` holds one state per occupied node and ``node`` each trial's
     node; the occupied children ``node * K + outcome`` are renumbered in order.
+    ``setup`` is :func:`_sampler_setup` of ``instruments`` and ``prior``, for
+    a caller that samples them chunk by chunk.
     """
-    dim = _check_uniform_dim(instruments)
-    u = np.random.Generator(np.random.Philox(key=seed)).random((trials, len(instruments)))
-    states = _as_state(prior, dim)[None]
+    states, stacks = _sampler_setup(instruments, prior) if setup is None else setup
+    u = gen.random((trials, len(instruments)))
     node = np.zeros(trials, dtype=np.int64)
     outcomes = np.empty((trials, len(instruments)), dtype=np.int64)
-    for s, inst in enumerate(instruments):
-        k_count = len(inst.outcomes)
-        probs, images = _branch_probs(inst, states, tol)
+    for s, mats in enumerate(stacks):
+        k_count = len(mats)
+        probs, images = _branch_probs(mats, states, tol)
         cum = np.cumsum(probs, axis=1)
         idx = np.minimum((u[:, s][:, None] > cum[node]).sum(axis=1), k_count - 1)
         if np.any(probs[node, idx] < _ZERO_BRANCH):
@@ -168,6 +190,12 @@ def estimate(
     instrument-level conditional probabilities (predictive or retrodictive
     according to the temporal order of the two steps).  Deterministic for a
     fixed seed.  A raw ``prior`` is checked at ``tol``, branch sums at ``tol / 10``.
+
+    Trials are sampled ``_CHUNK`` at a time from one generator and only the
+    counts are kept.  A failing run stops in the first chunk that meets a
+    failure, so where trials fail in different ways (different branch sums,
+    or a zero branch in one and a bad sum in another) the error reported
+    can depend on the chunk size.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -190,14 +218,18 @@ def estimate(
         p_joint = exact_sequence_probability(instruments, {c_step: c_out, t_step: t_out}, prior)
     exact = bayes._as_probability(complex(p_joint / p_cond), tol)
 
-    outcomes = _sample_outcome_matrix(instruments, prior, trials, seed, tol)
     c_idx = instruments[c_step].outcomes.index(c_out)
     t_idx = instruments[t_step].outcomes.index(t_out)
-    mask_c = outcomes[:, c_step] == c_idx
-    hits = int(mask_c.sum())
+    setup = _sampler_setup(instruments, prior)
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    hits = both = 0
+    for start in range(0, trials, _CHUNK):
+        outcomes = _sample_outcome_matrix(instruments, prior, min(_CHUNK, trials - start), gen, tol, setup)
+        mask_c = outcomes[:, c_step] == c_idx
+        hits += int(mask_c.sum())
+        both += int((mask_c & (outcomes[:, t_step] == t_idx)).sum())
     if hits == 0:
         raise NoConditionHits("the conditioning outcome never occurred")
-    both = int((mask_c & (outcomes[:, t_step] == t_idx)).sum())
     empirical = both / hits
     std_err = float(np.sqrt(exact * (1.0 - exact) / hits))
     return FreqReport(trials, hits, empirical, exact, abs(empirical - exact), std_err)

@@ -21,12 +21,12 @@ bridges the states back to the conditional probability functionals:
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import InvariantViolation, NotHermitian, ValidationError, ZeroCondition
-from .matcore import DEFAULT_TOL, _eig_psd, _require_hermitian, _same_dim, as_matrix, hermitian_eig, is_psd
+from .matcore import DEFAULT_TOL, _eig_psd, _require_hermitian, _same_dim, as_matrix, hermitian_eig
 from .superop import Superoperator, adjoint, apply
 from .bayes import _require_operation
 from . import instrument as _instr
@@ -44,22 +44,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A positive unit-trace matrix; validated at construction, storing the Hermitian part."""
+    """A positive unit-trace matrix; validated at construction, storing the
+    Hermitian part and, read-only, the ascending ``spectrum`` its positivity
+    test computed."""
 
     matrix: np.ndarray
     tol: InitVar[float] = DEFAULT_TOL
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, tol):
         try:
             m = _require_hermitian(as_matrix(self.matrix), tol / 10, "density matrix")
         except NotHermitian:
             raise InvariantViolation(f"density matrix is not Hermitian within {tol / 10:g}") from None
-        if not is_psd(m, tol):
+        spectrum = hermitian_eig(m, tol).eigenvalues
+        if not _eig_psd(spectrum, tol):
             raise InvariantViolation(f"density matrix is not positive semidefinite within {tol:g}")
         if abs(np.trace(m) - 1.0) > tol / 10:
             raise InvariantViolation(f"density matrix trace {np.trace(m):.12g} is not 1 within {tol / 10:g}")
         m.setflags(write=False)
+        spectrum.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:
@@ -123,10 +129,15 @@ def effects_of(a: Superoperator, tol: float = DEFAULT_TOL) -> tuple:
 
 
 def expect(rho: DensityMatrix, obs, tol: float = DEFAULT_TOL) -> float:
-    """Expectation ``tr(rho @ obs)`` of a Hermitian observable in a state."""
+    """Expectation ``tr(rho @ obs)`` of an observable in a state.
+
+    The observable must be Hermitian within ``tol`` (else
+    :class:`InvariantViolation`); its Hermitian part is used, so the value is real.
+    """
     obs = as_matrix(obs)
     _same_dim(rho.matrix, obs)
-    val = complex(np.trace(rho.matrix @ obs))
-    if abs(val.imag) > tol * max(1.0, abs(val.real)):
-        raise InvariantViolation(f"expectation has imaginary part {val.imag:.3e}")
-    return val.real
+    try:
+        obs = _require_hermitian(obs, tol, "observable")
+    except NotHermitian as e:
+        raise InvariantViolation(str(e)) from None
+    return float(np.trace(rho.matrix @ obs).real)

@@ -105,10 +105,15 @@ def unsharp_instrument(gen, n, k):
     return r.make_instrument(ops, name=f"U{n}x{k}")
 
 
+def philox(seed):
+    """The sampler's generator for ``seed``."""
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
 def philox_row(seed, trial, steps):
     """The sampler's uniforms for one trial, read from the flat Philox counter
     positions ``trial * steps ... trial * steps + steps - 1``."""
-    gen = np.random.Generator(np.random.Philox(key=seed))
+    gen = philox(seed)
     gen.random(trial * steps)
     return gen.random(steps)
 

@@ -162,6 +162,22 @@ def test_tol_env_var(tmp_path):
     assert json.loads(proc.stdout)["tolerance"] == 1e-7
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_tol_must_be_a_finite_positive_number(capsys, tol):
+    # nan and inf would pass or fail every check, and a negative bound
+    # rejects exact projectors; none of them is a tolerance.
+    assert cli.main(["--scenario", QUBIT, "--tol", tol, "--json", "check", "pz+"]) == cli.EXIT_VALIDATION
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"error": "ValidationError", "message": f"--tol must be a finite number > 0, got {float(tol)!r}"}
+
+
+def test_tol_env_var_must_be_a_number(monkeypatch, capsys):
+    monkeypatch.setenv("RETRO_OP_TOL", "abc")
+    assert cli.main(["--scenario", QUBIT, "--json", "check", "pz+"]) == cli.EXIT_VALIDATION
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"error": "ValidationError", "message": "RETRO_OP_TOL must be a finite number > 0, got 'abc'"}
+
+
 def test_scenario_round_trip(tmp_path):
     scn = cli.load_scenario(QUBIT, 1e-9)
     text = json.dumps(cli.serialize_scenario(scn))

@@ -1,13 +1,21 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import retroops as r
+from retroops import sim
 from retroops.errors import InvariantViolation, NoConditionHits, ValidationError, ZeroCondition
 
 from helpers import (
     PZM,
     PZP,
     luders_resolution,
+    philox,
     philox_row,
     rand_unitary,
     rng,
@@ -102,7 +110,7 @@ def test_estimate_agrees_with_scalar_sampler():
         for insts in ([sharp, unsharp, sharp, unsharp, unsharp], [unsharp, sharp, sharp, unsharp]):
             for prior in (None, mixed, np.outer(u[:, 0], u[:, 0].conj())):
                 seed = int(gen.integers(2**32))
-                outcomes = _sample_outcome_matrix(insts, prior, 200, seed)
+                outcomes = _sample_outcome_matrix(insts, prior, 200, philox(seed))
                 rho = np.eye(n, dtype=complex) / n if prior is None else prior
                 for t in range(200):
                     want = scalar_outcomes(insts, rho, philox_row(seed, t, len(insts)))
@@ -123,8 +131,8 @@ def test_deep_sequence_occupied_nodes_only():
     rep = r.estimate(insts, condition=(69, "+"), target=(0, "+"), trials=2000, seed=8)
     assert rep.exact == 0.5
     assert rep.abs_err < 5.0 * rep.std_err
-    a = _sample_outcome_matrix(insts, None, 2000, 8)
-    assert np.array_equal(a, _sample_outcome_matrix(insts, None, 2000, 8))
+    a = _sample_outcome_matrix(insts, None, 2000, philox(8))
+    assert np.array_equal(a, _sample_outcome_matrix(insts, None, 2000, philox(8)))
     for t in (0, 1, 999, 1999):
         assert a[t].tolist() == scalar_outcomes(insts, np.eye(2) / 2, philox_row(8, t, 70))
 
@@ -160,11 +168,11 @@ def test_no_condition_hits():
 
 
 def test_branch_probabilities_sum_to_one():
-    from retroops.sim import _branch_probs
+    from retroops.sim import _branch_probs, _stack
 
     z = z_instrument()
     states = np.stack([np.eye(2, dtype=complex) / 2, PZP])
-    probs, images = _branch_probs(z, states)
+    probs, images = _branch_probs(_stack(z), states)
     assert probs.shape == (2, 2) and images.shape == (2, 2, 2, 2)
     assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.allclose(probs, [[0.5, 0.5], [1.0, 0.0]])
@@ -197,7 +205,7 @@ def test_std_err_belongs_to_condition_hits():
 
     z, x = z_instrument(), x_instrument()
     rep = r.estimate([z, x], condition=(1, "+"), target=(0, "+"), trials=3000, seed=4)
-    outcomes = _sample_outcome_matrix([z, x], None, 3000, seed=4)
+    outcomes = _sample_outcome_matrix([z, x], None, 3000, philox(4))
     assert rep.hits == int((outcomes[:, 1] == 0).sum())
     assert 0 < rep.hits < rep.trials
     assert rep.std_err == float(np.sqrt(rep.exact * (1.0 - rep.exact) / rep.hits))
@@ -236,3 +244,88 @@ def test_estimate_checks_its_prior_at_its_tol():
     assert rep.exact == 1.0 and rep.empirical == 1.0
     with pytest.raises(InvariantViolation):
         r.estimate([x], condition=(0, "+"), target=(0, "+"), trials=100, prior=prior)
+
+
+def _chunk_runs(monkeypatch, run, trials):
+    """``run()`` once per chunk size 1, 7, the default and ``trials``: its
+    result, or the type and message of the error it raised."""
+    out = []
+    for chunk in (1, 7, sim._CHUNK, trials):
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        try:
+            out.append(run())
+        except Exception as e:  # noqa: BLE001 - the error is the result compared
+            out.append((type(e), str(e)))
+    return out
+
+
+def test_chunk_size_does_not_change_reports(monkeypatch):
+    gen = rng(91)
+    z, x = z_instrument(), x_instrument()
+    for n in (2, 3):
+        sharp = r.make_instrument(
+            {str(j): op for j, op in enumerate(luders_resolution(gen, n))}, name=f"L{n}"
+        )
+        unsharp = unsharp_instrument(gen, n, 3)
+        u = rand_unitary(gen, n)
+        mixed = (u * gen.dirichlet(np.ones(n))) @ u.conj().T
+        insts = [sharp, unsharp, unsharp, sharp, unsharp]
+        for trials in (1, 2, 50, 333):
+            for prior in (None, mixed):
+                seed = int(gen.integers(2**32))
+                reports = _chunk_runs(
+                    monkeypatch,
+                    lambda: r.estimate(insts, (4, "e0"), (0, "1"), trials, seed=seed, prior=prior),
+                    trials,
+                )
+                # One or two trials may miss the condition; more do not.
+                missed = (NoConditionHits, "the conditioning outcome never occurred")
+                assert isinstance(reports[-1], r.FreqReport) or (trials <= 2 and reports[-1] == missed)
+                assert all(rep == reports[-1] for rep in reports), reports
+    reports = _chunk_runs(monkeypatch, lambda: r.estimate([z, x] * 6, (11, "+"), (0, "+"), 1000, seed=2), 1000)
+    assert isinstance(reports[0], r.FreqReport)
+    assert all(rep == reports[0] for rep in reports)
+
+
+def test_chunk_size_does_not_change_errors(monkeypatch):
+    z = z_instrument()
+    # Every trial starts in the one prior state, so the lossy first step
+    # fails in every chunk with the same branch sum.
+    lossy = r.make_instrument(
+        {"+": r.scale(r.projecting(PZP), 1 - 2e-9), "-": r.scale(r.projecting(PZM), 1 - 4e-9)},
+        name="lossy",
+    )
+    rare = np.array([[1 - 1e-6, 0], [0, 1e-6]], dtype=complex)
+    cases = [
+        (lambda: r.estimate([lossy, z], (1, "+"), (0, "+"), 20, seed=1), InvariantViolation),
+        (lambda: r.estimate([z], (0, "-"), (0, "-"), 20, seed=1, prior=rare), NoConditionHits),
+        (lambda: r.estimate([z, z], (1, "-"), (0, "+"), 20, prior=PZP), ZeroCondition),
+    ]
+    for run, error in cases:
+        errors = _chunk_runs(monkeypatch, run, 20)
+        assert errors[0][0] is error
+        assert all(e == errors[0] for e in errors), errors
+
+
+def test_estimate_memory_is_bounded_in_trials():
+    # 3e5 trials over 24 alternating Z/X steps: one (trials, steps) matrix of
+    # uniforms and one of outcomes, plus a history node per trial, peak at
+    # about 300 MB of RSS; sampled in chunks, the process stays near 55 MB.
+    ceiling_mb = 100
+    here = Path(__file__).parent
+    code = textwrap.dedent(
+        """
+        import resource, sys
+        import retroops as r
+        from helpers import x_instrument, z_instrument
+        insts = [z_instrument(), x_instrument()] * 12
+        rep = r.estimate(insts, condition=(23, "+"), target=(0, "+"), trials=300_000, seed=5)
+        assert rep.trials == 300_000 and rep.abs_err < 5 * rep.std_err, rep
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print(peak / (2**20 if sys.platform == "darwin" else 2**10))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < ceiling_mb

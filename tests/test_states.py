@@ -30,6 +30,17 @@ def test_density_matrix_immutable():
     rho = r.DensityMatrix(np.eye(2) / 2)
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 9.0
+    with pytest.raises(ValueError):
+        rho.spectrum[0] = 9.0
+
+
+def test_density_matrix_keeps_its_ascending_spectrum():
+    gen = rng(77)
+    for n in (2, 3, 4):
+        rho = r.DensityMatrix(rand_projector(gen, n, rank=1) * 0.25 + np.eye(n) * 0.75 / n)
+        assert np.allclose(rho.spectrum, np.linalg.eigvalsh(rho.matrix), rtol=0, atol=1e-12)
+        assert list(rho.spectrum) == sorted(rho.spectrum)
+    assert "spectrum" not in repr(r.DensityMatrix(PZP))
 
 
 def test_effect_invariants():
@@ -132,6 +143,14 @@ def test_expect_rejects_imaginary():
     rho = r.DensityMatrix(PXP)
     with pytest.raises(InvariantViolation):
         r.expect(rho, np.array([[0, 5j], [0, 0]]))
+
+
+def test_expect_rejects_a_non_hermitian_observable():
+    # tr(I/2 @ [[0, 1], [0, 0]]) is 0, a real number, but the observable is
+    # not Hermitian, so it has no expectation value.
+    with pytest.raises(InvariantViolation, match="observable deviates from Hermitian"):
+        r.expect(r.DensityMatrix(np.eye(2) / 2), [[0, 1], [0, 0]])
+    assert r.expect(r.DensityMatrix(np.eye(2) / 2), [[0, 1 + 1e-12], [1, 0]], tol=1e-9) == 0.0
 
 
 def test_expect_known_value():

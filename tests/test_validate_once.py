@@ -3,20 +3,21 @@
 ``classify`` and the Choi spectrum it shares with ``extract_kraus`` are
 memoised on the map per tolerance, and ``summed`` returns one map per
 (instrument, event).  Eigensolves are counted by wrapping
-``hermitian_eig`` in ``matcore``, ``superop`` and ``states``, where the
-checks call it.
+``hermitian_eig`` in every module of the package that binds it.
 """
 
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import retroops as r
-from retroops import matcore, states, superop
+from retroops import cli, matcore, superop
 
 from helpers import (
+    PZP,
     luders_resolution,
     rand_operation,
     rand_resolution,
@@ -37,9 +38,9 @@ def eig_calls(monkeypatch):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(matcore, "hermitian_eig", counted)
-    monkeypatch.setattr(superop, "hermitian_eig", counted)
-    monkeypatch.setattr(states, "hermitian_eig", counted)
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "retroops" and getattr(mod, "hermitian_eig", None) is real:
+            monkeypatch.setattr(mod, "hermitian_eig", counted)
     return calls
 
 
@@ -91,6 +92,39 @@ def test_effect_tests_both_bounds_on_one_spectrum(eig_calls):
             with pytest.raises(r.InvariantViolation):
                 r.Effect(m)
         assert len(eig_calls) == 1
+
+
+def test_state_command_eigensolves_the_inferred_state_once(eig_calls):
+    # The density matrix keeps the spectrum of its positivity check, and
+    # the state command reports it instead of eigensolving again.
+    qubit = str(Path(__file__).parent / "fixtures" / "qubit.json")
+    args = cli._command_parser().parse_args(["--scenario", qubit, "state", "pz+", "--prior"])
+    scn = cli.load_scenario(qubit, matcore.DEFAULT_TOL)
+    r.classify(scn.operation("pz+"))
+    eig_calls.clear()
+    report = cli.cmd_state(scn, args, matcore.DEFAULT_TOL)
+    assert len(eig_calls) == 1
+    assert report["eigenvalues"] == [0.0, 1.0]
+    eig_calls.clear()
+    rho = r.DensityMatrix(PZP)
+    assert len(eig_calls) == 1
+    assert rho.spectrum.tolist() == [0.0, 1.0]
+    assert len(eig_calls) == 1
+
+
+def test_time_reverse_seeds_the_adjoints_classification(eig_calls):
+    gen = rng(310)
+    for d in (2, 3, 4):
+        for _ in range(5):
+            a = rand_operation(gen, d)
+            for tol in (1e-9, 1e-6):
+                r.classify(a, tol)
+                eig_calls.clear()
+                rev = r.time_reverse(a, tol)
+                seeded = r.classify(rev, tol)
+                assert len(eig_calls) == 0
+                assert seeded == r.classify(r.adjoint(a), tol)
+                assert seeded == r.classify(r.from_tensor(rev.mat), tol)
 
 
 def test_extract_kraus_reuses_the_choi_spectrum_of_classify(eig_calls):
