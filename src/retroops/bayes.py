@@ -16,14 +16,9 @@ p_retro(adjoint(a), adjoint(b))`` and symmetrically.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from functools import reduce
-
-import numpy as np
-
-from .errors import InvariantViolation, NotOperation, NotResolution, ZeroCondition
-from .matcore import DEFAULT_TOL
-from .superop import Superoperator, add, adjoint, apply, classify, compose, event_weight
+from .errors import InvariantViolation, NotResolution, ZeroCondition
+from .matcore import DEFAULT_TOL, _as_probability
+from .superop import SUM_TOL, Superoperator, _require_operation, _require_trivial_sum, adjoint, compose, event_weight
 
 __all__ = [
     "p_pred",
@@ -37,29 +32,6 @@ __all__ = [
 
 #: Bayes formulas are only valid for finite resolutions; reject absurd sizes.
 MAX_RESOLUTION_SIZE = 10_000
-
-#: The trivial-sum bound ``10 * tol`` of a resolution at the default tolerance.
-SUM_TOL = 10 * DEFAULT_TOL
-
-
-def _as_probability(value: complex, tol: float) -> float:
-    """Validate and clamp a computed probability.
-
-    Values within ``tol`` of 0 or 1 clamp to the boundary; values farther
-    outside ``[0, 1]``, or with an imaginary part above ``tol``, raise
-    :class:`InvariantViolation` to surface bugs instead of hiding them.
-    """
-    if abs(value.imag) > tol:
-        raise InvariantViolation(f"probability has imaginary part {value.imag:.3e}")
-    v = value.real
-    if v < -tol or v > 1.0 + tol:
-        raise InvariantViolation(f"probability {v!r} outside [0, 1] beyond tolerance")
-    return min(1.0, max(0.0, v))
-
-
-def _require_operation(a: Superoperator, tol: float, what: str) -> None:
-    if not classify(a, tol).operation:
-        raise NotOperation(f"{what} is not an operation (CP, sub-unital, sub-tracial)")
 
 
 def _weight(a: Superoperator, tol: float) -> float:
@@ -98,20 +70,6 @@ def p_prior(a: Superoperator, tol: float = DEFAULT_TOL, check: bool = True) -> f
     return _as_probability(_weight(a, tol) / a.dim, tol)
 
 
-def _require_trivial_sum(ops, tol: float, error, what: str) -> None:
-    """Raise ``error`` unless ``|sum(I) - I|`` and ``|adjoint(sum)(I) - I|``
-    are within ``10 * tol`` entrywise, the tier for sums over members.
-
-    The one trivial-sum check, shared by Bayes resolutions and instruments.
-    """
-    total = reduce(add, ops)
-    eye = np.eye(total.dim)
-    dev_out = float(np.abs(apply(total, eye) - eye).max())
-    dev_in = float(np.abs(apply(adjoint(total), eye) - eye).max())
-    if max(dev_out, dev_in) > 10 * tol:
-        raise error(f"{what}; |sum(I) - I| = {dev_out:.3e}, |adjoint(sum)(I) - I| = {dev_in:.3e}")
-
-
 def _check_resolution(a_list, tol: float) -> None:
     if not a_list:
         raise NotResolution("resolution must be nonempty")
@@ -129,12 +87,9 @@ def _bayes(cond, a_list, b: Superoperator, j: int, tol: float) -> float:
     """
     _check_resolution(a_list, tol)
     _require_operation(b, tol, "condition")
-    if p_prior(b, tol, check=False) <= tol:
+    if p_prior(b, tol) <= tol:
         raise ZeroCondition("condition has zero unconditional probability")
-    terms = [
-        cond(b, a, tol, check=False) * p_prior(a, tol, check=False) if _weight(a, tol) > tol else 0.0
-        for a in a_list
-    ]
+    terms = [cond(b, a, tol) * p_prior(a, tol) if _weight(a, tol) > tol else 0.0 for a in a_list]
     total = sum(terms)
     if total <= tol:
         raise ZeroCondition("normalisation of the Bayes formula vanished")
@@ -160,17 +115,7 @@ def bayes_predict(a_list, b: Superoperator, j: int, tol: float = DEFAULT_TOL) ->
 
 
 def time_reverse(a: Superoperator, tol: float = DEFAULT_TOL) -> Superoperator:
-    """Time reversal of an operation: its adjoint, again an operation.
-
-    The adjoint's :func:`classify` record at ``tol`` is seeded from ``a``'s,
-    with ``sub_unital`` and ``sub_tracial`` swapped, so it costs no Choi
-    eigensolve.  This skips the adjoint's own Loewner/Kraus-sum cross-check.
-    That is sound: the adjoint's Kraus family is ``a``'s daggered, ``{M_k*}``,
-    so its Choi matrix has ``a``'s spectrum, its storage matrix is ``a``'s
-    conjugate transpose, and its two Kraus sums are ``a``'s swapped.
-    """
+    """Time reversal of an operation: its :func:`adjoint`, again an operation,
+    which carries ``a``'s classification at ``tol`` with no eigensolve."""
     _require_operation(a, tol, "argument")
-    cls = classify(a, tol)
-    rev = adjoint(a)
-    rev._memo[("classify", tol)] = replace(cls, sub_unital=cls.sub_tracial, sub_tracial=cls.sub_unital)
-    return rev
+    return adjoint(a)

@@ -32,7 +32,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -232,17 +232,6 @@ def serialize_scenario(scn: Scenario) -> dict:
 # Commands
 # ----------------------------------------------------------------------------
 
-def _class_dict(cls) -> dict:
-    return {
-        "positive": cls.positive,
-        "cp": cls.cp,
-        "sub_unital": cls.sub_unital,
-        "sub_tracial": cls.sub_tracial,
-        "operation": cls.operation,
-        "trivial": cls.trivial,
-    }
-
-
 def _prob_value(v: float) -> dict:
     return {"value": v, "value_str": format(v, ".12g")}
 
@@ -256,7 +245,7 @@ def _check_residuals(residuals: dict, tol: float) -> None:
 def cmd_check(scn: Scenario, args, tol: float) -> dict:
     op = scn.operation(args.name)
     cls = superop.classify(op, tol)
-    return {"command": "check", "name": args.name, "tolerance": tol, "classification": _class_dict(cls)}
+    return {"command": "check", "name": args.name, "tolerance": tol, "classification": asdict(cls)}
 
 
 def cmd_kraus(scn: Scenario, args, tol: float) -> dict:
@@ -304,8 +293,8 @@ def cmd_bayes(scn: Scenario, args, tol: float) -> dict:
     retro = bayes.bayes_retrodict(a_list, b, j, tol)
     pred = bayes.bayes_predict(a_list, b, j, tol)
     residuals = {
-        "retrodictive": abs(retro - bayes.p_retro(a_list[j], b, tol, check=False)),
-        "predictive": abs(pred - bayes.p_pred(a_list[j], b, tol, check=False)),
+        "retrodictive": abs(retro - bayes.p_retro(a_list[j], b, tol)),
+        "predictive": abs(pred - bayes.p_pred(a_list[j], b, tol)),
     }
     _check_residuals(residuals, tol)
     return {
@@ -327,16 +316,16 @@ def cmd_reverse(scn: Scenario, args, tol: float) -> dict:
         "command": "reverse",
         "name": args.name,
         "tolerance": tol,
-        "classification": _class_dict(superop.classify(rev, tol)),
+        "classification": asdict(superop.classify(rev, tol)),
         "tensor": serialize_matrix(rev.mat),
     }
     if args.against is not None:
         b = scn.operation(args.against)
         rev_b = bayes.time_reverse(b, tol)
         residuals = {
-            "pred_vs_retro": abs(bayes.p_pred(a, b, tol) - bayes.p_retro(rev, rev_b, tol, check=False)),
-            "retro_vs_pred": abs(bayes.p_retro(a, b, tol, check=False) - bayes.p_pred(rev, rev_b, tol, check=False)),
-            "prior": abs(bayes.p_prior(a, tol, check=False) - bayes.p_prior(rev, tol, check=False)),
+            "pred_vs_retro": abs(bayes.p_pred(a, b, tol) - bayes.p_retro(rev, rev_b, tol)),
+            "retro_vs_pred": abs(bayes.p_retro(a, b, tol) - bayes.p_pred(rev, rev_b, tol)),
+            "prior": abs(bayes.p_prior(a, tol) - bayes.p_prior(rev, tol)),
         }
         _check_residuals(residuals, tol)
         report["against"] = args.against
@@ -389,14 +378,7 @@ def cmd_simulate(scn: Scenario, args, tol: float) -> dict:
         "target": {"step": target[0], "outcome": target[1]},
         "seed": args.seed,
         "tolerance": tol,
-        "report": {
-            "trials": report.trials,
-            "hits": report.hits,
-            "empirical": report.empirical,
-            "exact": report.exact,
-            "abs_err": report.abs_err,
-            "std_err": report.std_err,
-        },
+        "report": asdict(report),
     }
 
 

@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 from functools import reduce
 from types import MappingProxyType
 
-from .bayes import SUM_TOL, _require_trivial_sum
-from .errors import DimensionMismatch, NotOperation, NotTrivialSum, ValidationError
+from .errors import DimensionMismatch, NotTrivialSum, ValidationError
 from .matcore import DEFAULT_TOL
-from .superop import Superoperator, add, classify, compose, zero
+from .superop import SUM_TOL, Superoperator, _require_operation, _require_trivial_sum, add, compose, zero
 from . import bayes
 
 __all__ = [
@@ -67,8 +66,7 @@ def make_instrument(ops, name: str = "", tol: float = DEFAULT_TOL) -> Instrument
         raise DimensionMismatch(f"instrument '{name}': components have mixed dims {sorted(dims)}")
     dim = dims.pop()
     for label in labels:
-        if not classify(ops[label], tol).operation:
-            raise NotOperation(f"instrument '{name}': component '{label}' is not an operation")
+        _require_operation(ops[label], tol, f"instrument '{name}': component '{label}'")
     _require_trivial_sum(ops.values(), tol, NotTrivialSum, f"instrument '{name}': component sum is not trivial")
     return Instrument(name, dim, labels, MappingProxyType(dict(ops)))
 
@@ -112,17 +110,17 @@ def summed(i: Instrument, event) -> Superoperator:
 
 def p_inst_pred(i: Instrument, event, a: Superoperator, tol: float = DEFAULT_TOL) -> float:
     """Predictive probability that the outcome lands in ``event``, given ``a`` just fired."""
-    return bayes.p_pred(summed(i, event), a, tol, check=True)
+    return bayes.p_pred(summed(i, event), a, tol)
 
 
 def p_inst_retro(i: Instrument, event, a: Superoperator, tol: float = DEFAULT_TOL) -> float:
     """Retrodictive probability that the outcome lands in ``event``, given ``a`` fires next."""
-    return bayes.p_retro(summed(i, event), a, tol, check=True)
+    return bayes.p_retro(summed(i, event), a, tol)
 
 
 def p_inst(i: Instrument, event, tol: float = DEFAULT_TOL) -> float:
     """Unconditional probability of ``event`` from the maximally mixed prior."""
-    return bayes.p_prior(summed(i, event), tol, check=True)
+    return bayes.p_prior(summed(i, event), tol)
 
 
 def p_cond_pred(i: Instrument, j: Instrument, a_event, b_event, tol: float = DEFAULT_TOL) -> float:

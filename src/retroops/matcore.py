@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian
+from .errors import DimensionMismatch, InvariantViolation, NoConvergence, NotHermitian
 
 #: Default ``tol`` (see the tolerance policy above); spectral tests anchor it
 #: at ``max(1, magnitude of the largest eigenvalue)`` of the quantity under test.
@@ -61,7 +61,7 @@ def _require_hermitian(m: np.ndarray, tol: float, what: str = "matrix") -> np.nd
     return (m + m.conj().T) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigSystem:
     """Spectral decomposition of a Hermitian matrix.
 
@@ -143,6 +143,21 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL, max_sweeps: int = JACOBI_MAX_SWEE
 def _eig_psd(eigenvalues: np.ndarray, tol: float) -> bool:
     """The test of :func:`is_psd` on an already computed ascending spectrum."""
     return bool(eigenvalues[0] >= -tol * max(1.0, abs(eigenvalues[-1])))
+
+
+def _as_probability(value: complex, tol: float) -> float:
+    """Validate and clamp a computed probability.
+
+    Values within ``tol`` of 0 or 1 clamp to the boundary; values farther
+    outside ``[0, 1]``, or with an imaginary part above ``tol``, raise
+    :class:`InvariantViolation` to surface bugs instead of hiding them.
+    """
+    if abs(value.imag) > tol:
+        raise InvariantViolation(f"probability has imaginary part {value.imag:.3e}")
+    v = value.real
+    if v < -tol or v > 1.0 + tol:
+        raise InvariantViolation(f"probability {v!r} outside [0, 1] beyond tolerance")
+    return min(1.0, max(0.0, v))
 
 
 def is_psd(m, tol: float = DEFAULT_TOL) -> bool:

@@ -23,6 +23,7 @@ whole-matrix draw would, and results are bit-identical for any chunk size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -34,11 +35,10 @@ from .errors import (
     ZeroCondition,
     ZeroProbabilityBranch,
 )
-from .matcore import DEFAULT_TOL
+from .matcore import DEFAULT_TOL, _as_probability
 from .superop import apply
 from .instrument import Instrument, summed
 from .states import DensityMatrix
-from . import bayes
 
 __all__ = ["Trajectory", "FreqReport", "sample_sequence", "estimate", "exact_sequence_probability"]
 
@@ -111,10 +111,21 @@ def _branch_probs(mats: np.ndarray, states: np.ndarray, tol: float = DEFAULT_TOL
     return probs, images
 
 
+def _is_int(value) -> bool:
+    """An integer of any width, not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _generator(seed) -> np.random.Generator:
+    """The Philox generator keyed by ``seed``, an integer in ``[0, 2**128)``."""
+    if not (_is_int(seed) and 0 <= seed < 2**128):
+        raise ValidationError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
 def sample_sequence(instruments, prior=None, rng_seed: int = 0) -> Trajectory:
     """Sample one trajectory: the one-trial case of the outcome-matrix sampler."""
-    gen = np.random.Generator(np.random.Philox(key=rng_seed))
-    row = _sample_outcome_matrix(instruments, prior, 1, gen)[0]
+    row = _sample_outcome_matrix(instruments, prior, 1, _generator(rng_seed))[0]
     return Trajectory(rng_seed, tuple((i.name, i.outcomes[k]) for i, k in zip(instruments, row)))
 
 
@@ -197,8 +208,9 @@ def estimate(
     or a zero branch in one and a bad sum in another) the error reported
     can depend on the chunk size.
     """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    if not (_is_int(trials) and trials >= 1):
+        raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
+    gen = _generator(seed)
     c_step, c_out = condition
     t_step, t_out = target
     for step, out in ((c_step, c_out), (t_step, t_out)):
@@ -216,12 +228,11 @@ def estimate(
         p_joint = 0.0
     else:
         p_joint = exact_sequence_probability(instruments, {c_step: c_out, t_step: t_out}, prior)
-    exact = bayes._as_probability(complex(p_joint / p_cond), tol)
+    exact = _as_probability(complex(p_joint / p_cond), tol)
 
     c_idx = instruments[c_step].outcomes.index(c_out)
     t_idx = instruments[t_step].outcomes.index(t_out)
     setup = _sampler_setup(instruments, prior)
-    gen = np.random.Generator(np.random.Philox(key=seed))
     hits = both = 0
     for start in range(0, trials, _CHUNK):
         outcomes = _sample_outcome_matrix(instruments, prior, min(_CHUNK, trials - start), gen, tol, setup)

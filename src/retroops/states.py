@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import InvariantViolation, NotHermitian, ValidationError, ZeroCondition
 from .matcore import DEFAULT_TOL, _eig_psd, _require_hermitian, _same_dim, as_matrix, hermitian_eig
-from .superop import Superoperator, adjoint, apply
-from .bayes import _require_operation
+from .superop import Superoperator, _effect_pair, _require_operation, adjoint, apply
 from . import instrument as _instr
 
 __all__ = [
@@ -42,7 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A positive unit-trace matrix; validated at construction, storing the
     Hermitian part and, read-only, the ascending ``spectrum`` its positivity
@@ -50,7 +49,7 @@ class DensityMatrix:
 
     matrix: np.ndarray
     tol: InitVar[float] = DEFAULT_TOL
-    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, tol):
         try:
@@ -72,7 +71,7 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Effect:
     """A Hermitian matrix between 0 and the identity in the Loewner order, tested on one spectrum."""
 
@@ -88,8 +87,9 @@ class Effect:
         object.__setattr__(self, "matrix", m)
 
 
-def _normalized_image(m: np.ndarray, tol: float) -> DensityMatrix:
-    m = _require_hermitian(m, tol, "operation image")
+def _normalized_image(a: Superoperator, tol: float) -> DensityMatrix:
+    """The state ``a(I) / tr a(I)``."""
+    m = _require_hermitian(apply(a, np.eye(a.dim)), tol, "operation image")
     w = float(np.trace(m).real)
     if w <= tol:
         raise ZeroCondition("operation has zero event weight; no state is inferable")
@@ -100,32 +100,32 @@ def state_prior(a: Superoperator, tol: float = DEFAULT_TOL, check: bool = True) 
     """Density matrix inferred for the input of operation ``a`` given that it fired."""
     if check:
         _require_operation(a, tol, "argument")
-    return state_posterior(adjoint(a), tol, check=False)
+    return _normalized_image(adjoint(a), tol)
 
 
 def state_posterior(a: Superoperator, tol: float = DEFAULT_TOL, check: bool = True) -> DensityMatrix:
     """Density matrix inferred for the output of operation ``a`` given that it fired."""
     if check:
         _require_operation(a, tol, "argument")
-    return _normalized_image(apply(a, np.eye(a.dim)), tol)
+    return _normalized_image(a, tol)
 
 
 def state_of_instrument(inst, event, direction: str = "prior", tol: float = DEFAULT_TOL) -> DensityMatrix:
     """State inferred from an instrument's outcome landing in ``event``.
 
-    Equals the prior/posterior state of the summed operation over the event.
+    Equals the prior/posterior state of the summed operation over the event,
+    which is an operation because the instrument was validated.
     """
     if direction not in ("prior", "posterior"):
         raise ValidationError(f"direction must be 'prior' or 'posterior', got {direction!r}")
     total = _instr.summed(inst, event)
-    fn = state_prior if direction == "prior" else state_posterior
-    return fn(total, tol, check=False)
+    return _normalized_image(adjoint(total) if direction == "prior" else total, tol)
 
 
 def effects_of(a: Superoperator, tol: float = DEFAULT_TOL) -> tuple:
     """The effect pair ``(sum M_k* M_k, sum M_k M_k*)`` of an operation."""
     _require_operation(a, tol, "argument")
-    return Effect(apply(adjoint(a), np.eye(a.dim)), tol), Effect(apply(a, np.eye(a.dim)), tol)
+    return tuple(Effect(m, tol) for m in _effect_pair(a))
 
 
 def expect(rho: DensityMatrix, obs, tol: float = DEFAULT_TOL) -> float:

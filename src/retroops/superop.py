@@ -35,7 +35,8 @@ value; they store equal results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .errors import (
     InvariantViolation,
     NotCP,
     NotHermitian,
+    NotOperation,
     NotProjector,
     NotUnitary,
 )
@@ -75,15 +77,18 @@ __all__ = [
     "scale",
 ]
 
+#: The trivial-sum bound ``10 * tol`` of a resolution at the default tolerance.
+SUM_TOL = 10 * DEFAULT_TOL
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Superoperator:
     """A linear map on ``dim x dim`` matrices, stored as a ``dim^2 x dim^2`` matrix."""
 
     dim: int
     mat: np.ndarray
     #: Results of checks on this map, keyed by ``(check, tol)``; see :func:`_memoised`.
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         d = self.dim
@@ -105,7 +110,7 @@ class Superoperator:
         return self.mat.reshape(d, d, d, d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausSet:
     """A finite family of ``dim x dim`` matrices acting as ``A -> sum_k M_k A M_k*``."""
 
@@ -137,8 +142,8 @@ def from_tensor(mat, dim: int | None = None) -> Superoperator:
     m = np.asarray(mat, dtype=complex)
     if dim is None:
         d = int(round(np.sqrt(m.shape[0]))) if m.ndim == 2 else 0
-        if d * d != m.shape[0]:
-            raise DimensionMismatch(f"matrix side {m.shape} is not a perfect square")
+        if m.ndim != 2 or d * d != m.shape[0]:
+            raise DimensionMismatch(f"matrix shape {m.shape} is not square with a perfect-square side")
         dim = d
     return Superoperator(dim, m)
 
@@ -189,8 +194,20 @@ def conjugate_map(a: Superoperator) -> Superoperator:
 
 
 def adjoint(a: Superoperator) -> Superoperator:
-    """Adjoint for the trace inner product; the conjugate transpose in storage."""
-    return Superoperator(a.dim, a.mat.conj().T)
+    """Adjoint for the trace inner product; the conjugate transpose in storage.
+
+    This is the paper's time reversal.  Each :func:`classify` record kept on
+    ``a`` is copied with ``sub_unital`` and ``sub_tracial`` swapped, so the
+    adjoint is classified with no eigensolve.  That is sound: its storage
+    matrix has ``a``'s Hermitian part, its Choi matrix is ``a``'s conjugated
+    and index-permuted (same spectrum), and its images of the identity, like
+    the two sums of its Kraus family ``{M_k*}``, are ``a``'s swapped.
+    """
+    rev = Superoperator(a.dim, a.mat.conj().T)
+    for (check, tol), cls in list(a._memo.items()):
+        if check == "classify":
+            rev._memo[check, tol] = replace(cls, sub_unital=cls.sub_tracial, sub_tracial=cls.sub_unital)
+    return rev
 
 
 def reshuffle(a: Superoperator) -> Superoperator:
@@ -292,13 +309,18 @@ def classify(a: Superoperator, tol: float = DEFAULT_TOL) -> OperationClass:
     return _memoised(a, "classify", tol, _classify)
 
 
+def _effect_pair(a: Superoperator) -> tuple:
+    """``(adjoint(a)(I), a(I))``, which are ``(sum M_k* M_k, sum M_k M_k*)`` for Kraus matrices ``M_k``."""
+    eye = np.eye(a.dim)
+    return apply(adjoint(a), eye), apply(a, eye)
+
+
 def _classify(a: Superoperator, tol: float) -> OperationClass:
     eye = np.eye(a.dim)
     positive = is_positive(a, tol)
     choi_eig = _choi_eig(a, tol)
     cp = choi_eig is not None and _eig_psd(choi_eig.eigenvalues, tol)
-    out_img = apply(a, eye)
-    in_img = apply(adjoint(a), eye)
+    in_img, out_img = _effect_pair(a)
     sub_unital = _psd(eye - out_img, tol)
     sub_tracial = _psd(eye - in_img, tol)
     operation = cp and sub_unital and sub_tracial
@@ -317,6 +339,24 @@ def _classify(a: Superoperator, tol: float) -> OperationClass:
         and float(np.abs(in_img - eye).max()) <= tol
     )
     return OperationClass(positive, cp, sub_unital, sub_tracial, operation, trivial)
+
+
+def _require_operation(a: Superoperator, tol: float, what: str) -> None:
+    if not classify(a, tol).operation:
+        raise NotOperation(f"{what} is not an operation (CP, sub-unital, sub-tracial)")
+
+
+def _require_trivial_sum(ops, tol: float, error, what: str) -> None:
+    """Raise ``error`` unless ``|sum(I) - I|`` and ``|adjoint(sum)(I) - I|``
+    are within ``10 * tol`` entrywise, the tier for sums over members.
+
+    The one trivial-sum check, shared by Bayes resolutions and instruments.
+    """
+    total = reduce(add, ops)
+    eye = np.eye(total.dim)
+    dev_in, dev_out = (float(np.abs(img - eye).max()) for img in _effect_pair(total))
+    if max(dev_out, dev_in) > 10 * tol:
+        raise error(f"{what}; |sum(I) - I| = {dev_out:.3e}, |adjoint(sum)(I) - I| = {dev_in:.3e}")
 
 
 def unit(dim: int) -> Superoperator:

@@ -78,6 +78,13 @@ def test_exit_code_validation_errors():
     proc = run_cli("--scenario", QUBIT, "--json", "kraus", "Z")
     assert proc.returncode == 2  # instruments are not operations
 
+    proc = run_cli("--scenario", QUBIT, "--seed", "-1", "simulate",
+                   "--steps", "Z", "X", "--condition", "0:+", "--target", "1:+")
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {
+        "error": "ValidationError", "message": "seed must be an integer in [0, 2**128), got -1"
+    }
+
 
 def test_exit_code_parse_error(tmp_path):
     bad = tmp_path / "bad.json"

@@ -147,6 +147,14 @@ def test_estimate_validation():
         r.estimate([z], condition=(0, "+"), target=(0, "+"), trials=0)
     with pytest.raises(ValidationError):
         r.estimate([], condition=(0, "+"), target=(0, "+"), trials=10)
+    for bad in ({"trials": 2.5}, {"trials": True}, {"trials": 10, "seed": -1},
+                {"trials": 10, "seed": 2**128}, {"trials": 10, "seed": 1.0}, {"trials": 10, "seed": True}):
+        with pytest.raises(ValidationError):
+            r.estimate([z], condition=(0, "+"), target=(0, "+"), **bad)
+    with pytest.raises(ValidationError):
+        r.sample_sequence([z], rng_seed=-1)
+    assert r.estimate([z], (0, "+"), (0, "+"), trials=10, seed=np.int64(2**63 - 1)).hits > 0
+    assert r.sample_sequence([z], rng_seed=2**128 - 1).seed == 2**128 - 1
 
 
 def test_estimate_zero_condition():

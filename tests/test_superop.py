@@ -63,6 +63,28 @@ def test_dim_mismatch():
         r.apply(r.unit(2), np.eye(3))
     with pytest.raises(DimensionMismatch):
         r.from_tensor(np.eye(5))
+    for bad in (1.0, np.ones(4), np.ones((4, 4, 1))):
+        with pytest.raises(DimensionMismatch):
+            r.from_tensor(bad)
+
+
+def test_values_holding_arrays_compare_by_identity():
+    # Equality is identity for values that hold arrays, so == never raises
+    # and the values can be kept in sets and dict keys.
+    a = r.unit(2)
+    values = [
+        a,
+        r.extract_kraus(a),
+        r.hermitian_eig(np.eye(2)),
+        r.DensityMatrix(np.eye(2) / 2),
+        r.Effect(np.eye(2) / 2),
+    ]
+    for v in values:
+        assert v == v
+        assert len({v, v}) == 1
+    assert r.unit(2) != r.unit(2)
+    assert r.DensityMatrix(np.eye(2) / 2) != r.DensityMatrix(np.eye(2) / 2)
+    assert len(set(values)) == len(values)
 
 
 def test_superoperator_immutable():

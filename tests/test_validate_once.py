@@ -19,6 +19,8 @@ from retroops import cli, matcore, superop
 from helpers import (
     PZP,
     luders_resolution,
+    rand_cp,
+    rand_noncp,
     rand_operation,
     rand_resolution,
     rand_unitary,
@@ -113,18 +115,29 @@ def test_state_command_eigensolves_the_inferred_state_once(eig_calls):
 
 
 def test_time_reverse_seeds_the_adjoints_classification(eig_calls):
+    # adjoint copies each classify record of its argument with the two
+    # Loewner flags swapped: classifying the adjoint, reversing and inferring
+    # the input state then make no Choi eigensolve, and the inherited record
+    # equals the one an unseeded copy of the adjoint computes.
     gen = rng(310)
+    kinds = set()
     for d in (2, 3, 4):
-        for _ in range(5):
-            a = rand_operation(gen, d)
-            for tol in (1e-9, 1e-6):
-                r.classify(a, tol)
+        operations = [rand_operation(gen, d) for _ in range(3)] + [rand_operation(gen, d, k=1)]
+        for a in operations + [rand_cp(gen, d), rand_noncp(gen, d)]:
+            for tol in (1e-12, 1e-9, 1e-6):
+                cls = r.classify(a, tol)
+                kinds.add((cls.cp, cls.operation))
                 eig_calls.clear()
-                rev = r.time_reverse(a, tol)
-                seeded = r.classify(rev, tol)
-                assert len(eig_calls) == 0
-                assert seeded == r.classify(r.adjoint(a), tol)
-                assert seeded == r.classify(r.from_tensor(rev.mat), tol)
+                inherited = r.classify(r.adjoint(a), tol)
+                if cls.operation:
+                    assert r.classify(r.time_reverse(a, tol), tol) == inherited
+                    r.state_prior(a, tol)
+                    assert len(eig_calls) == 1  # the inferred state's own spectrum
+                else:
+                    assert len(eig_calls) == 0
+                assert inherited == r.classify(r.Superoperator(a.dim, a.mat.conj().T), tol)
+                assert (inherited.sub_unital, inherited.sub_tracial) == (cls.sub_tracial, cls.sub_unital)
+    assert kinds == {(True, True), (True, False), (False, False)}
 
 
 def test_extract_kraus_reuses_the_choi_spectrum_of_classify(eig_calls):
