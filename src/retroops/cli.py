@@ -94,6 +94,11 @@ def serialize_matrix(m: np.ndarray) -> list:
 # Scenario
 # ----------------------------------------------------------------------------
 
+#: Largest scenario ``dim``.  A map on ``dim x dim`` matrices is a
+#: ``dim**2 x dim**2`` complex matrix (``16 * dim**4`` bytes), and checking it
+#: takes eigensolves of that size, so a larger ``dim`` is refused up front.
+MAX_SCENARIO_DIM = 16
+
 @dataclass
 class Scenario:
     dim: int
@@ -170,6 +175,11 @@ def parse_scenario(text: str, tol: float = DEFAULT_TOL) -> Scenario:
     dim = doc.get("dim")
     if not isinstance(dim, int) or dim < 1:
         raise ValidationError(f"'dim' must be a positive integer, got {dim!r}")
+    if dim > MAX_SCENARIO_DIM:
+        raise ValidationError(
+            f"'dim' {dim} exceeds {MAX_SCENARIO_DIM}: one map would be a {dim**2}x{dim**2} "
+            f"complex matrix of {16 * dim**4} bytes"
+        )
     scn = Scenario(dim=dim, tasks=doc.get("tasks", []))
     if not isinstance(scn.tasks, list):
         raise ValidationError("'tasks' must be a list")

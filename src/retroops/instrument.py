@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instrument:
     """Ordered outcome labels with one operation per label, validated at build time."""
 
@@ -40,7 +40,7 @@ class Instrument:
     outcomes: tuple
     ops: MappingProxyType = field(repr=False)
     #: Summed operation per event label tuple; see :func:`summed`.
-    _summed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _summed: dict = field(default_factory=dict, init=False, repr=False)
 
     def op(self, label: str) -> Superoperator:
         try:

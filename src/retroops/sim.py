@@ -6,6 +6,17 @@ probability ``tr[op_x(rho)]`` and the state updates to ``op_x(rho)`` divided
 by that probability; the branch probabilities sum to one at every step
 because instrument components sum to a trace-preserving map.
 
+Selection rule: with the cumulative branch weights ``c_0 <= ... <= c_{K-1}``
+of a trial's node and its uniform ``u`` in ``[0, 1)``, the trial takes outcome
+``k`` when ``c_{k-1} <= u < c_k`` (``c_{-1} = 0``), and the last outcome when
+``u >= c_{K-2}``: ``searchsorted(c, u, side="right")`` capped at ``K - 1``.  A
+tie goes to the later outcome, so ``u = 0`` never selects a leading
+zero-weight branch.  The count is made one outcome column at a time: the
+cumulative weights are transposed once into a contiguous ``(K, nodes)``
+array, and a trial's outcome is the number of the first ``K - 1`` columns
+with ``u >= c_k[node]``, one 1-D ``take`` and one compare per column.  The
+columns never decrease, so this equals the capped count over all ``K``.
+
 Trials with one outcome history share a node of the history tree.
 :func:`estimate` samples its trials in chunks of at most ``_CHUNK`` and keeps
 only the running counts, so its memory is O(chunk * steps) for any trial
@@ -161,27 +172,32 @@ def _sample_outcome_matrix(
 
     ``states`` holds one state per occupied node and ``node`` each trial's
     node; the occupied children ``node * K + outcome`` are renumbered in order.
+    The uniforms and outcomes are held step by step (one contiguous row per
+    step), and the outcomes are returned as the ``(trials, steps)`` view.
     ``setup`` is :func:`_sampler_setup` of ``instruments`` and ``prior``, for
     a caller that samples them chunk by chunk.
     """
     states, stacks = _sampler_setup(instruments, prior) if setup is None else setup
-    u = gen.random((trials, len(instruments)))
+    u = gen.random((trials, len(instruments))).T.copy()
     node = np.zeros(trials, dtype=np.int64)
-    outcomes = np.empty((trials, len(instruments)), dtype=np.int64)
+    outcomes = np.zeros((len(instruments), trials), dtype=np.int64)
     for s, mats in enumerate(stacks):
         k_count = len(mats)
         probs, images = _branch_probs(mats, states, tol)
-        cum = np.cumsum(probs, axis=1)
-        idx = np.minimum((u[:, s][:, None] > cum[node]).sum(axis=1), k_count - 1)
-        if np.any(probs[node, idx] < _ZERO_BRANCH):
-            raise ZeroProbabilityBranch("a numerically zero branch was selected")
-        outcomes[:, s] = idx
+        cum = np.cumsum(probs, axis=1).T.copy()
+        idx = outcomes[s]
+        for k in range(k_count - 1):
+            idx += u[s] >= cum[k].take(node)
         code = node * k_count + idx
+        flat_probs = probs.ravel()
+        if np.any(flat_probs.take(code) < _ZERO_BRANCH):
+            raise ZeroProbabilityBranch("a numerically zero branch was selected")
         occupied = np.bincount(code, minlength=probs.size) > 0
-        node = (np.cumsum(occupied) - 1)[code]
-        parent, child = np.divmod(np.flatnonzero(occupied), k_count)
-        states = images[parent, child] / probs[parent, child][:, None, None]
-    return outcomes
+        node = (np.cumsum(occupied) - 1).take(code)
+        flat = np.flatnonzero(occupied)
+        images = images.reshape(-1, *states.shape[1:])
+        states = images.take(flat, axis=0) / flat_probs.take(flat)[:, None, None]
+    return outcomes.T
 
 
 def estimate(

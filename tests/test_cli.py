@@ -86,6 +86,24 @@ def test_exit_code_validation_errors():
     }
 
 
+def test_oversized_dim_fails_fast(tmp_path):
+    # Over the limit the scenario is refused before any map is built, with
+    # the size it asked for (14.6 TiB at dim 1000); at the limit it parses.
+    limit = cli.MAX_SCENARIO_DIM
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"dim": 1000, "definitions": {"id": {"builder": "unit"}}}))
+    proc = run_cli("--scenario", str(big), "--json", "check", "id")
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {
+        "error": "ValidationError",
+        "message": f"'dim' 1000 exceeds {limit}: one map would be a "
+        "1000000x1000000 complex matrix of 16000000000000 bytes",
+    }
+    assert cli.parse_scenario(json.dumps({"dim": limit})).dim == limit
+    with pytest.raises(ValidationError, match="exceeds"):
+        cli.parse_scenario(json.dumps({"dim": limit + 1}))
+
+
 def test_exit_code_parse_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

@@ -99,15 +99,24 @@ def test_estimate_agrees_with_scalar_sampler():
     # and sample_sequence is its first row.
     from retroops.sim import _sample_outcome_matrix
 
+    # The d = 4 unsharp instrument has K = 4 outcomes, and the gapped one a
+    # zero-weight component, whose cumulative weight ties its predecessor's.
     gen = rng(90)
-    for n in (2, 3):
-        sharp = r.make_instrument(
-            {str(j): op for j, op in enumerate(luders_resolution(gen, n))}, name=f"L{n}"
+    for n, k in ((2, 3), (3, 3), (4, 4)):
+        projecting = luders_resolution(gen, n)
+        sharp = r.make_instrument({str(j): op for j, op in enumerate(projecting)}, name=f"L{n}")
+        gapped = r.make_instrument(
+            {"0": projecting[0], "gap": r.zero(n), **{str(j): op for j, op in enumerate(projecting) if j}},
+            name=f"G{n}",
         )
-        unsharp = unsharp_instrument(gen, n, 3)
+        unsharp = unsharp_instrument(gen, n, k)
         u = rand_unitary(gen, n)
         mixed = (u * gen.dirichlet(np.ones(n))) @ u.conj().T
-        for insts in ([sharp, unsharp, sharp, unsharp, unsharp], [unsharp, sharp, sharp, unsharp]):
+        for insts in (
+            [sharp, unsharp, sharp, unsharp, unsharp],
+            [unsharp, sharp, sharp, unsharp],
+            [gapped, unsharp, gapped],
+        ):
             for prior in (None, mixed, np.outer(u[:, 0], u[:, 0].conj())):
                 seed = int(gen.integers(2**32))
                 outcomes = _sample_outcome_matrix(insts, prior, 200, philox(seed))
@@ -119,6 +128,34 @@ def test_estimate_agrees_with_scalar_sampler():
                 assert traj.steps == tuple(
                     (i.name, i.outcomes[k]) for i, k in zip(insts, outcomes[0])
                 )
+
+
+class _Uniforms:
+    """A generator stub whose ``random(shape)`` returns the given uniforms."""
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=float)
+
+    def random(self, shape):
+        return self.values.reshape(shape)
+
+
+def test_selection_at_exact_ties():
+    # Outcome k is taken when cum[k-1] <= u < cum[k]: a uniform equal to a
+    # cumulative weight goes to the later outcome, as in the scalar reference.
+    from retroops.sim import _sample_outcome_matrix
+
+    lead_zero = r.make_instrument({"a": r.zero(2), "b": r.unit(2)}, name="lead-zero")
+    z = z_instrument()
+    half = np.nextafter(0.5, 0.0)
+    rho = np.eye(2, dtype=complex) / 2
+    for insts, u, want in (
+        ([lead_zero], [[0.0]], [[1]]),
+        ([z], [[0.0], [half], [0.5], [np.nextafter(1.0, 0.0)]], [[0], [0], [1], [1]]),
+    ):
+        outcomes = _sample_outcome_matrix(insts, None, len(u), _Uniforms(u))
+        assert outcomes.tolist() == want
+        assert [scalar_outcomes(insts, rho, row) for row in u] == want
 
 
 def test_deep_sequence_occupied_nodes_only():

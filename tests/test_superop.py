@@ -78,12 +78,15 @@ def test_values_holding_arrays_compare_by_identity():
         r.hermitian_eig(np.eye(2)),
         r.DensityMatrix(np.eye(2) / 2),
         r.Effect(np.eye(2) / 2),
+        r.make_instrument({"a": a}, name="I"),
     ]
     for v in values:
         assert v == v
         assert len({v, v}) == 1
     assert r.unit(2) != r.unit(2)
     assert r.DensityMatrix(np.eye(2) / 2) != r.DensityMatrix(np.eye(2) / 2)
+    assert r.make_instrument({"a": r.unit(2)}, name="I") != r.make_instrument({"a": r.unit(2)}, name="I")
+    assert r.make_instrument({"a": a}, name="I") != r.make_instrument({"a": a}, name="I")
     assert len(set(values)) == len(values)
 
 
