@@ -16,8 +16,8 @@ p_retro(adjoint(a), adjoint(b))`` and symmetrically.
 
 from __future__ import annotations
 
-from .errors import InvariantViolation, NotResolution, ZeroCondition
-from .matcore import DEFAULT_TOL, _as_probability
+from .errors import InvariantViolation, NotResolution, ValidationError, ZeroCondition
+from .matcore import DEFAULT_TOL, _as_probability, _is_int
 from .superop import SUM_TOL, Superoperator, _require_operation, _require_trivial_sum, adjoint, compose, event_weight
 
 __all__ = [
@@ -41,26 +41,26 @@ def _weight(a: Superoperator, tol: float) -> float:
     return w.real
 
 
-def p_pred(a: Superoperator, b: Superoperator, tol: float = DEFAULT_TOL, check: bool = True) -> float:
-    """Predictive conditional probability of ``a`` given that ``b`` just fired."""
+def _conditional(a: Superoperator, b: Superoperator, joint, tol: float, check: bool) -> float:
+    """``event_weight(joint()) / event_weight(b)`` for operations ``a`` and
+    ``b``, clamped to ``[0, 1]``; ``joint`` builds the caller's composition."""
     if check:
         _require_operation(a, tol, "first argument")
         _require_operation(b, tol, "second argument")
     wb = _weight(b, tol)
     if wb <= tol:
         raise ZeroCondition("conditioning operation has zero event weight")
-    return _as_probability(event_weight(compose(a, b)) / wb, tol)
+    return _as_probability(event_weight(joint()) / wb, tol)
+
+
+def p_pred(a: Superoperator, b: Superoperator, tol: float = DEFAULT_TOL, check: bool = True) -> float:
+    """Predictive conditional probability of ``a`` given that ``b`` just fired."""
+    return _conditional(a, b, lambda: compose(a, b), tol, check)
 
 
 def p_retro(a: Superoperator, b: Superoperator, tol: float = DEFAULT_TOL, check: bool = True) -> float:
     """Retrodictive conditional probability of ``a`` given that ``b`` fires next."""
-    if check:
-        _require_operation(a, tol, "first argument")
-        _require_operation(b, tol, "second argument")
-    wb = _weight(b, tol)
-    if wb <= tol:
-        raise ZeroCondition("conditioning operation has zero event weight")
-    return _as_probability(event_weight(compose(b, a)) / wb, tol)
+    return _conditional(a, b, lambda: compose(b, a), tol, check)
 
 
 def p_prior(a: Superoperator, tol: float = DEFAULT_TOL, check: bool = True) -> float:
@@ -83,9 +83,12 @@ def _check_resolution(a_list, tol: float) -> None:
 def _bayes(cond, a_list, b: Superoperator, j: int, tol: float) -> float:
     """``cond(b, a_j) p_prior(a_j) / sum_k cond(b, a_k) p_prior(a_k)`` over a resolution.
 
-    A member of zero event weight has ``p_prior`` 0, so its term is 0.
+    A member of zero event weight has ``p_prior`` 0, so its term is 0.  An
+    index ``j`` outside ``range(len(a_list))`` is a :class:`ValidationError`.
     """
     _check_resolution(a_list, tol)
+    if not (_is_int(j) and 0 <= j < len(a_list)):
+        raise ValidationError(f"index {j} out of range for a {len(a_list)}-member resolution")
     _require_operation(b, tol, "condition")
     if p_prior(b, tol) <= tol:
         raise ZeroCondition("condition has zero unconditional probability")

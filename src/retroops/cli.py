@@ -43,7 +43,7 @@ from .errors import (
     RetroOpsError,
     ValidationError,
 )
-from .matcore import DEFAULT_TOL
+from .matcore import DEFAULT_TOL, _is_int
 from .superop import Superoperator
 
 EXIT_OK = 0
@@ -82,12 +82,10 @@ def _parse_matrix(rows, where: str) -> np.ndarray:
     return np.array(parsed, dtype=complex)
 
 
-def serialize_scalar(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def serialize_matrix(m: np.ndarray) -> list:
-    return [[serialize_scalar(x) for x in row] for row in np.asarray(m, dtype=complex)]
+    """Nested rows of ``[re, im]`` pairs."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 # ----------------------------------------------------------------------------
@@ -108,14 +106,17 @@ class Scenario:
     tasks: list = field(default_factory=list)
 
     def operation(self, name: str) -> Superoperator:
-        if name not in self.operations:
-            raise ValidationError(f"unknown operation '{name}'")
-        return self.operations[name]
+        return _lookup(self.operations, "operation", name, "")
 
     def instrument(self, name: str):
-        if name not in self.instruments:
-            raise ValidationError(f"unknown instrument '{name}'")
-        return self.instruments[name]
+        return _lookup(self.instruments, "instrument", name, "")
+
+
+def _lookup(table: dict, kind: str, name, where: str):
+    """``table[name]``, or :class:`ValidationError` prefixed by ``where``."""
+    if not isinstance(name, str) or name not in table:
+        raise ValidationError(f"{where}unknown {kind} '{name}'")
+    return table[name]
 
 
 def _build_operation(scn: Scenario, name: str, defn: dict, tol: float) -> Superoperator:
@@ -140,9 +141,7 @@ def _build_operation(scn: Scenario, name: str, defn: dict, tol: float) -> Supero
     if builder in ("projector", "unitary"):
         ref = defn.get("of")
         if isinstance(ref, str):
-            if ref not in scn.matrices:
-                raise ValidationError(f"'{name}': matrix reference '{ref}' is not defined")
-            m = scn.matrices[ref]
+            m = _lookup(scn.matrices, "matrix", ref, f"'{name}': ")
         else:
             m = _parse_matrix(ref, f"'{name}' of")
         if m.shape != (scn.dim, scn.dim):
@@ -158,9 +157,7 @@ def _build_operation(scn: Scenario, name: str, defn: dict, tol: float) -> Supero
         raise ValidationError(f"'{name}': weights must be {len(refs)} finite real numbers >= 0, got {weights!r}")
     total = superop.zero(scn.dim)
     for ref, w in zip(refs, weights):
-        if ref not in scn.operations:
-            raise ValidationError(f"'{name}': operation reference '{ref}' is not defined")
-        total = superop.add(total, superop.scale(scn.operations[ref], float(w)))
+        total = superop.add(total, superop.scale(_lookup(scn.operations, "operation", ref, f"'{name}': "), float(w)))
     return total
 
 
@@ -173,7 +170,7 @@ def parse_scenario(text: str, tol: float = DEFAULT_TOL) -> Scenario:
     if not isinstance(doc, dict):
         raise ValidationError("scenario root must be a JSON object")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not (_is_int(dim) and dim >= 1):
         raise ValidationError(f"'dim' must be a positive integer, got {dim!r}")
     if dim > MAX_SCENARIO_DIM:
         raise ValidationError(
@@ -202,11 +199,7 @@ def parse_scenario(text: str, tol: float = DEFAULT_TOL) -> Scenario:
             ops = {}
             for label, ref in outcomes.items():
                 if isinstance(ref, str):
-                    if ref not in scn.operations:
-                        raise ValidationError(
-                            f"'{name}': outcome '{label}' references undefined operation '{ref}'"
-                        )
-                    ops[label] = scn.operations[ref]
+                    ops[label] = _lookup(scn.operations, "operation", ref, f"'{name}': outcome '{label}': ")
                 else:
                     ops[label] = _build_operation(scn, f"{name}:{label}", ref, tol)
             scn.instruments[name] = instr_mod.make_instrument(ops, name=name, tol=tol)
@@ -274,17 +267,12 @@ def cmd_kraus(scn: Scenario, args, tol: float) -> dict:
 
 def cmd_prob(scn: Scenario, args, tol: float) -> dict:
     if args.prior is not None:
+        mode, names = "prior", [args.prior]
         value = bayes.p_prior(scn.operation(args.prior), tol)
-        return {
-            "command": "prob",
-            "mode": "prior",
-            "operations": [args.prior],
-            "tolerance": tol,
-            **_prob_value(value),
-        }
-    mode, names = ("pred", args.pred) if args.pred else ("retro", args.retro)
-    a, b = (scn.operation(n) for n in names)
-    value = bayes.p_pred(a, b, tol) if mode == "pred" else bayes.p_retro(a, b, tol)
+    else:
+        mode, names = ("pred", args.pred) if args.pred else ("retro", args.retro)
+        a, b = (scn.operation(n) for n in names)
+        value = (bayes.p_pred if mode == "pred" else bayes.p_retro)(a, b, tol)
     return {
         "command": "prob",
         "mode": mode,
@@ -298,8 +286,6 @@ def cmd_bayes(scn: Scenario, args, tol: float) -> dict:
     a_list = [scn.operation(n) for n in args.members]
     b = scn.operation(args.condition)
     j = args.index
-    if not 0 <= j < len(a_list):
-        raise ValidationError(f"index {j} out of range for a {len(a_list)}-member resolution")
     retro = bayes.bayes_retrodict(a_list, b, j, tol)
     pred = bayes.bayes_predict(a_list, b, j, tol)
     residuals = {

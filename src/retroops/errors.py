@@ -61,5 +61,5 @@ class ParseError(RetroOpsError):
     """Scenario text is not valid JSON."""
 
 
-class ValidationError(RetroOpsError):
-    """Scenario content violates a schema or consistency requirement."""
+class ValidationError(RetroOpsError, ValueError):
+    """Input violates a schema or consistency requirement; also a ``ValueError``."""

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 from functools import reduce
 from types import MappingProxyType
 
-from .errors import DimensionMismatch, NotTrivialSum, ValidationError
+from .errors import NotTrivialSum, ValidationError
 from .matcore import DEFAULT_TOL
-from .superop import SUM_TOL, Superoperator, _require_operation, _require_trivial_sum, add, compose, zero
+from .superop import SUM_TOL, Superoperator, _common_dim, _require_operation, _require_trivial_sum, add, compose, zero
 from . import bayes
 
 __all__ = [
@@ -61,10 +61,7 @@ def make_instrument(ops, name: str = "", tol: float = DEFAULT_TOL) -> Instrument
     if not ops:
         raise ValidationError(f"instrument '{name}': outcome map must be nonempty")
     labels = tuple(ops)
-    dims = {a.dim for a in ops.values()}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"instrument '{name}': components have mixed dims {sorted(dims)}")
-    dim = dims.pop()
+    dim = _common_dim(ops.values(), f"instrument '{name}': components")
     for label in labels:
         _require_operation(ops[label], tol, f"instrument '{name}': component '{label}'")
     _require_trivial_sum(ops.values(), tol, NotTrivialSum, f"instrument '{name}': component sum is not trivial")
@@ -77,8 +74,7 @@ def product(i: Instrument, j: Instrument, tol: float = DEFAULT_TOL) -> Instrumen
     The component at ``"x,y"`` is ``compose(i.op(x), j.op(y))`` -- ``j`` acts
     first, ``i`` second -- and the result revalidates as an instrument.
     """
-    if i.dim != j.dim:
-        raise DimensionMismatch(f"instrument dims differ: {i.dim} vs {j.dim}")
+    _common_dim((i, j), "instruments")
     ops = {
         f"{x},{y}": compose(i.op(x), j.op(y))
         for x in i.outcomes

@@ -18,10 +18,11 @@ floor for a selected branch is a rounding floor, not a tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvariantViolation, NoConvergence, NotHermitian
+from .errors import DimensionMismatch, InvariantViolation, NoConvergence, NotHermitian, ValidationError
 
 #: Default ``tol`` (see the tolerance policy above); spectral tests anchor it
 #: at ``max(1, magnitude of the largest eigenvalue)`` of the quantity under test.
@@ -36,13 +37,19 @@ JACOBI_MAX_SWEEPS = 100
 
 
 def as_matrix(entries) -> np.ndarray:
-    """Coerce ``entries`` to a square complex matrix with finite entries."""
+    """Coerce ``entries`` to a square complex matrix; the one finiteness test,
+    so a non-finite or overflowed entry is a :class:`ValidationError`."""
     m = np.asarray(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError("matrix entries must be finite")
+    if not np.isfinite(m).all():
+        raise ValidationError("matrix entries must be finite")
     return m
+
+
+def _is_int(value) -> bool:
+    """An integer of any width, not a bool: the one rule for dims, counts, seeds and indices."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _same_dim(a: np.ndarray, b: np.ndarray) -> None:

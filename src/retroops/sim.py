@@ -34,7 +34,6 @@ whole-matrix draw would, and results are bit-identical for any chunk size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -46,8 +45,8 @@ from .errors import (
     ZeroCondition,
     ZeroProbabilityBranch,
 )
-from .matcore import DEFAULT_TOL, _as_probability
-from .superop import apply
+from .matcore import DEFAULT_TOL, _as_probability, _is_int
+from .superop import _common_dim, apply
 from .instrument import Instrument, summed
 from .states import DensityMatrix
 
@@ -98,10 +97,7 @@ def _as_state(prior, dim: int) -> np.ndarray:
 def _check_uniform_dim(instruments) -> int:
     if not instruments:
         raise ValidationError("at least one instrument step is required")
-    dims = {i.dim for i in instruments}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"instrument steps have mixed dims {sorted(dims)}")
-    return dims.pop()
+    return _common_dim(instruments, "instrument steps")
 
 
 def _stack(inst: Instrument) -> np.ndarray:
@@ -120,11 +116,6 @@ def _branch_probs(mats: np.ndarray, states: np.ndarray, tol: float = DEFAULT_TOL
     if bad.size:
         raise InvariantViolation(f"branch probabilities sum to {sums[bad[0]]:.12g}, not 1")
     return probs, images
-
-
-def _is_int(value) -> bool:
-    """An integer of any width, not a bool."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _generator(seed) -> np.random.Generator:
@@ -230,7 +221,7 @@ def estimate(
     c_step, c_out = condition
     t_step, t_out = target
     for step, out in ((c_step, c_out), (t_step, t_out)):
-        if not 0 <= step < len(instruments):
+        if not (_is_int(step) and 0 <= step < len(instruments)):
             raise ValidationError(f"step index {step} out of range")
         if out not in instruments[step].ops:
             raise ValidationError(f"instrument '{instruments[step].name}' has no outcome '{out}'")

@@ -28,8 +28,8 @@ symmetrically for the reversed composition.
 
 All values are immutable after construction; every function is pure.
 Because a map never changes, :func:`classify` and the Choi spectrum it
-shares with :func:`extract_kraus` are computed once per (map, tolerance) and
-kept on the map.  Two threads racing on a first call may both compute the
+shares with :func:`is_cp` and :func:`extract_kraus` are computed once per
+(map, tolerance) and kept on the map.  Two threads racing on a first call may both compute the
 value; they store equal results.
 """
 
@@ -48,8 +48,9 @@ from .errors import (
     NotOperation,
     NotProjector,
     NotUnitary,
+    ValidationError,
 )
-from .matcore import DEFAULT_TOL, _eig_psd, _require_hermitian, as_matrix, hermitian_eig, is_psd
+from .matcore import DEFAULT_TOL, _eig_psd, _is_int, _require_hermitian, as_matrix, hermitian_eig, is_psd
 
 __all__ = [
     "Superoperator",
@@ -92,13 +93,11 @@ class Superoperator:
 
     def __post_init__(self):
         d = self.dim
-        if d < 1:
-            raise DimensionMismatch(f"dimension must be positive, got {d}")
-        m = np.asarray(self.mat, dtype=complex)
+        if not (_is_int(d) and d >= 1):
+            raise DimensionMismatch(f"dimension must be a positive integer, got {d!r}")
+        m = as_matrix(self.mat)
         if m.shape != (d * d, d * d):
             raise DimensionMismatch(f"expected a {d * d}x{d * d} matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-            raise ValueError("superoperator entries must be finite")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
@@ -165,9 +164,13 @@ def from_kraus(ops, dim: int | None = None) -> Superoperator:
     return Superoperator(d, t.reshape(d * d, d * d))
 
 
-def _check_dims(a: Superoperator, b: Superoperator) -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"superoperator dims differ: {a.dim} vs {b.dim}")
+def _common_dim(values, what: str) -> int:
+    """The one ``dim`` of a nonempty family of maps or instruments, or
+    :class:`DimensionMismatch` naming ``what`` and the dims found."""
+    dims = {v.dim for v in values}
+    if len(dims) != 1:
+        raise DimensionMismatch(f"{what} have mixed dims {sorted(dims)}")
+    return dims.pop()
 
 
 def apply(a: Superoperator, m) -> np.ndarray:
@@ -180,8 +183,7 @@ def apply(a: Superoperator, m) -> np.ndarray:
 
 def compose(a: Superoperator, b: Superoperator) -> Superoperator:
     """The map ``A -> a(b(A))``, i.e. ``b`` acts first."""
-    _check_dims(a, b)
-    return Superoperator(a.dim, a.mat @ b.mat)
+    return Superoperator(_common_dim((a, b), "superoperators"), a.mat @ b.mat)
 
 
 def conjugate_map(a: Superoperator) -> Superoperator:
@@ -245,8 +247,11 @@ def _psd(m: np.ndarray, tol: float) -> bool:
 
 
 def is_cp(a: Superoperator, tol: float = DEFAULT_TOL) -> bool:
-    """Complete positivity, tested as positivity of the reshuffled map."""
-    return is_positive(reshuffle(a), tol)
+    """Complete positivity: the Choi matrix (the reshuffled map) is Hermitian
+    positive semidefinite at ``tol``, read from the memoised Choi spectrum
+    that :func:`classify` and :func:`extract_kraus` share."""
+    eig = _choi_eig(a, tol)
+    return eig is not None and _eig_psd(eig.eigenvalues, tol)
 
 
 def _memoised(a: Superoperator, check: str, tol: float, compute):
@@ -260,7 +265,7 @@ def _memoised(a: Superoperator, check: str, tol: float, compute):
 def _choi_eig(a: Superoperator, tol: float):
     """Spectral decomposition of the (hermitized) Choi matrix, or ``None``
     if the Choi matrix is not Hermitian within ``tol``.  Memoised and
-    read-only, so :func:`classify` and :func:`extract_kraus` share it."""
+    read-only; :func:`is_cp` is the one test of its positivity."""
     return _memoised(a, "choi_eig", tol, _compute_choi_eig)
 
 
@@ -290,10 +295,9 @@ def extract_kraus(a: Superoperator, tol: float = DEFAULT_TOL) -> KrausSet:
     is unique only up to unitary mixing, so callers should compare maps by
     round trip through :func:`from_kraus`, never operator by operator.
     """
-    eig = _choi_eig(a, tol)
-    if eig is None or not _eig_psd(eig.eigenvalues, tol):
+    if not is_cp(a, tol):
         raise NotCP("Kraus extraction requires a completely positive map")
-    return _kraus_from_eig(eig, a.dim, tol)
+    return _kraus_from_eig(_choi_eig(a, tol), a.dim, tol)
 
 
 def classify(a: Superoperator, tol: float = DEFAULT_TOL) -> OperationClass:
@@ -318,16 +322,14 @@ def _effect_pair(a: Superoperator) -> tuple:
 def _classify(a: Superoperator, tol: float) -> OperationClass:
     eye = np.eye(a.dim)
     positive = is_positive(a, tol)
-    choi_eig = _choi_eig(a, tol)
-    cp = choi_eig is not None and _eig_psd(choi_eig.eigenvalues, tol)
+    cp = is_cp(a, tol)
     in_img, out_img = _effect_pair(a)
     sub_unital = _psd(eye - out_img, tol)
     sub_tracial = _psd(eye - in_img, tol)
     operation = cp and sub_unital and sub_tracial
     if cp:
-        ks = _kraus_from_eig(choi_eig, a.dim, tol)
-        s_in = sum((m.conj().T @ m for m in ks.ops), np.zeros_like(eye, dtype=complex))
-        s_out = sum((m @ m.conj().T for m in ks.ops), np.zeros_like(eye, dtype=complex))
+        ks = _kraus_from_eig(_choi_eig(a, tol), a.dim, tol)
+        s_in, s_out = _effect_pair(from_kraus(ks.ops, dim=a.dim))
         via_kraus = _psd(eye - s_out, tol) and _psd(eye - s_in, tol)
         if via_kraus != (sub_unital and sub_tracial):
             raise InvariantViolation(
@@ -395,8 +397,7 @@ def unitary_inv(u, tol: float = DEFAULT_TOL) -> Superoperator:
 
 
 def add(a: Superoperator, b: Superoperator) -> Superoperator:
-    _check_dims(a, b)
-    return Superoperator(a.dim, a.mat + b.mat)
+    return Superoperator(_common_dim((a, b), "superoperators"), a.mat + b.mat)
 
 
 def scale(a: Superoperator, c: float) -> Superoperator:
@@ -406,5 +407,5 @@ def scale(a: Superoperator, c: float) -> Superoperator:
     factors can leave it.
     """
     if c < 0:
-        raise ValueError("scale factor must be nonnegative")
+        raise ValidationError("scale factor must be nonnegative")
     return Superoperator(a.dim, c * a.mat)

@@ -6,6 +6,7 @@ from retroops.errors import (
     InvariantViolation,
     NotOperation,
     NotResolution,
+    ValidationError,
     ZeroCondition,
 )
 
@@ -216,6 +217,17 @@ def test_bayes_rejects_bad_resolution():
         r.bayes_retrodict([ops["pz+"]], ops["px+"], 0)
     with pytest.raises(NotOperation):
         r.bayes_retrodict([r.scale(r.unit(2), 3.0)], ops["px+"], 0)
+
+
+def test_bayes_index_must_name_a_member():
+    # -1 would answer for the last member and True for member 1.
+    ops = qubit_ops()
+    res = [ops["pz+"], ops["pz-"]]
+    for formula in (r.bayes_retrodict, r.bayes_predict):
+        for j in (-1, True, 2, 1.0):
+            with pytest.raises(ValidationError, match=rf"^index {j} out of range for a 2-member resolution$"):
+                formula(res, ops["px+"], j)
+        assert formula(res, ops["px+"], np.int64(1)) == formula(res, ops["px+"], 1)
 
 
 def test_bayes_accepts_zero_weight_member():

@@ -150,6 +150,43 @@ def test_malformed_numbers_are_validation_errors(tmp_path, capsys, defn):
     assert json.loads(capsys.readouterr().out)["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("defn,check", [
+    ({"big": {"builder": "sum", "of": ["id"], "weights": [1e308]},
+      "big2": {"builder": "sum", "of": ["big", "big"]}}, "id"),
+    ({"k": {"kraus": [[[1e200, 0], [0, 0]]]}}, "k"),
+], ids=["sum-overflow", "kraus-overflow"])
+def test_overflowing_numbers_exit_2(tmp_path, defn, check):
+    # Finite inputs whose results overflow are validation errors, not a
+    # ValueError traceback; run in a subprocess, where numpy's overflow
+    # RuntimeWarning stays a warning.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": 2, "definitions": {"id": {"builder": "unit"}, **defn}}))
+    proc = run_cli("--scenario", str(path), "--json", "check", check)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout) == {"error": "ValidationError", "message": "matrix entries must be finite"}
+
+
+@pytest.mark.parametrize("defn,message", [
+    ({"s": {"builder": "sum", "of": ["nope"]}}, "'s': unknown operation 'nope'"),
+    ({"s": {"builder": "sum", "of": [["id"]]}}, "'s': unknown operation '['id']'"),
+    ({"p": {"builder": "projector", "of": "P"}}, "'p': unknown matrix 'P'"),
+    ({"Z": {"outcomes": {"+": "nope"}}}, "'Z': outcome '+': unknown operation 'nope'"),
+], ids=["operation", "unhashable", "matrix", "outcome"])
+def test_reference_lookups_are_validation_errors(defn, message):
+    with pytest.raises(ValidationError) as e:
+        cli.parse_scenario(json.dumps({"dim": 2, "definitions": {"id": {"builder": "unit"}, **defn}}))
+    assert str(e.value) == message
+
+
+def test_bayes_index_out_of_range_exits_2(capsys):
+    argv = ["--scenario", QUBIT, "--json", "bayes", "pz+", "pz-", "--condition", "px+", "--index"]
+    for j in ("2", "-1"):
+        assert cli.main([*argv, j]) == cli.EXIT_VALIDATION
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "ValidationError", "message": f"index {j} out of range for a 2-member resolution"
+        }
+
+
 def test_kraus_noncp_rejected(tmp_path):
     # A transpose-like tensor is not CP; kraus must fail with exit 2.
     doc = {
@@ -246,6 +283,9 @@ def test_parse_scenario_complex_entries():
 def test_parse_scenario_validation_messages():
     with pytest.raises(ValidationError):
         cli.parse_scenario(json.dumps({"dim": 0}))
+    for dim in (True, 2.0, "2"):
+        with pytest.raises(ValidationError, match="'dim' must be a positive integer"):
+            cli.parse_scenario(json.dumps({"dim": dim, "definitions": {"id": {"builder": "unit"}}}))
     with pytest.raises(ValidationError):
         cli.parse_scenario(json.dumps({"dim": 2, "definitions": {"a": {"builder": "wat"}}}))
     with pytest.raises(ParseError):

@@ -188,6 +188,9 @@ def test_estimate_validation():
                 {"trials": 10, "seed": 2**128}, {"trials": 10, "seed": 1.0}, {"trials": 10, "seed": True}):
         with pytest.raises(ValidationError):
             r.estimate([z], condition=(0, "+"), target=(0, "+"), **bad)
+    for step in (True, 1.0, -1):
+        with pytest.raises(ValidationError, match="step index"):
+            r.estimate([z, z], condition=(step, "+"), target=(0, "+"), trials=10)
     with pytest.raises(ValidationError):
         r.sample_sequence([z], rng_seed=-1)
     assert r.estimate([z], (0, "+"), (0, "+"), trials=10, seed=np.int64(2**63 - 1)).hits > 0

@@ -8,6 +8,7 @@ from retroops.errors import (
     NotCP,
     NotProjector,
     NotUnitary,
+    ValidationError,
 )
 
 from helpers import (
@@ -66,6 +67,22 @@ def test_dim_mismatch():
     for bad in (1.0, np.ones(4), np.ones((4, 4, 1))):
         with pytest.raises(DimensionMismatch):
             r.from_tensor(bad)
+    # A dimension is an integer, not a bool (bool is an int in Python).
+    for bad in (True, False, 0):
+        with pytest.raises(DimensionMismatch):
+            r.unit(bad)
+    with pytest.raises(DimensionMismatch):
+        r.Superoperator(2.0, np.eye(4))
+    assert r.Superoperator(np.int64(2), np.eye(4)).dim == 2
+
+
+def test_overflowed_entries_are_validation_errors():
+    # ValidationError is also a ValueError, so either except clause catches it.
+    for bad in (np.full((4, 4), np.inf), np.full((4, 4), np.nan * 1j)):
+        with pytest.raises(ValidationError, match="matrix entries must be finite"):
+            r.Superoperator(2, bad)
+    with pytest.raises(ValidationError):
+        r.scale(r.unit(2), -1.0)
 
 
 def test_values_holding_arrays_compare_by_identity():

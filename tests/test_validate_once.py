@@ -219,3 +219,21 @@ def test_concurrent_first_calls_agree():
     assert not any(t.is_alive() for t in threads)
     assert all(out == want for out in got)
     assert [r.classify(a) for a in maps] == want
+
+
+def test_is_cp_after_classify_makes_no_eigensolve(eig_calls):
+    gen = rng(311)
+    for a, cp in ((rand_operation(gen, 3, k=2), True), (rand_noncp(gen, 3), False)):
+        r.classify(a)
+        eig_calls.clear()
+        assert r.is_cp(a) is cp
+        assert len(eig_calls) == 0
+
+
+def test_extract_kraus_after_is_cp_makes_no_eigensolve(eig_calls):
+    a = rand_cp(rng(312), 3)
+    assert r.is_cp(a)
+    assert len(eig_calls) == 1
+    ks = r.extract_kraus(a)
+    assert len(eig_calls) == 1
+    assert np.abs(r.from_kraus(ks.ops, dim=3).mat - a.mat).max() < 1e-9
