@@ -10,7 +10,6 @@ from .errors import (
     DimensionMismatch,
     InvariantViolation,
     NoConditionHits,
-    NoConvergence,
     NotCP,
     NotHermitian,
     NotOperation,
@@ -26,7 +25,6 @@ from .errors import (
 )
 from .matcore import (
     DEFAULT_TOL,
-    EigSystem,
     as_matrix,
     hermitian_eig,
     hs_inner,

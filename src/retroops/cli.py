@@ -94,7 +94,9 @@ def serialize_matrix(m: np.ndarray) -> list:
 
 #: Largest scenario ``dim``.  A map on ``dim x dim`` matrices is a
 #: ``dim**2 x dim**2`` complex matrix (``16 * dim**4`` bytes), and checking it
-#: takes eigensolves of that size, so a larger ``dim`` is refused up front.
+#: takes spectra and a Kraus factor of that size: at ``dim = 16`` one
+#: 256 x 256 ``eigvalsh`` plus the factor of a full-rank map take about
+#: 80 ms (one CPU, numpy 2.4).  A larger ``dim`` is refused up front.
 MAX_SCENARIO_DIM = 16
 
 @dataclass

@@ -13,10 +13,6 @@ class NotHermitian(RetroOpsError):
     """A matrix required to be Hermitian fails the tolerance check."""
 
 
-class NoConvergence(RetroOpsError):
-    """The iterative eigensolver exhausted its sweep budget."""
-
-
 class NotCP(RetroOpsError):
     """Kraus extraction was requested for a map that is not completely positive."""
 

@@ -1,8 +1,8 @@
-"""Dense complex matrix algebra: Hermitian eigensolver and Loewner-order predicates.
+"""Dense complex matrix algebra: Hermitian spectra and Loewner-order predicates.
 
-Matrices are square ``complex128`` numpy arrays.  The eigensolver is a cyclic
-Jacobi iteration specialised to Hermitian input; everything else in the
-package (positivity tests, Kraus extraction, operator norms) is built on it.
+Matrices are square ``complex128`` numpy arrays.  Every spectral verdict in
+the package (positivity tests, the Loewner order, complete positivity,
+operator norms) reads eigenvalues only, from :func:`hermitian_eig`.
 
 Values are treated as immutable after construction and may be shared freely
 across concurrent tasks.
@@ -17,23 +17,15 @@ floor for a selected branch is a rounding floor, not a tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvariantViolation, NoConvergence, NotHermitian, ValidationError
+from .errors import DimensionMismatch, InvariantViolation, NotHermitian, ValidationError
 
 #: Default ``tol`` (see the tolerance policy above); spectral tests anchor it
 #: at ``max(1, magnitude of the largest eigenvalue)`` of the quantity under test.
 DEFAULT_TOL = 1e-9
-
-#: Off-diagonal Frobenius mass (relative to the input scale) at which the
-#: Jacobi sweep is considered converged.
-JACOBI_CONVERGENCE = 1e-14
-
-#: Maximum number of cyclic Jacobi sweeps before giving up.
-JACOBI_MAX_SWEEPS = 100
 
 
 def as_matrix(entries) -> np.ndarray:
@@ -68,83 +60,13 @@ def _require_hermitian(m: np.ndarray, tol: float, what: str = "matrix") -> np.nd
     return (m + m.conj().T) / 2.0
 
 
-@dataclass(frozen=True, eq=False)
-class EigSystem:
-    """Spectral decomposition of a Hermitian matrix.
+def hermitian_eig(m, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, from LAPACK ``eigvalsh``.
 
-    ``eigenvalues`` are real and ascending; column ``k`` of ``eigenvectors``
-    is the eigenvector paired with ``eigenvalues[k]``, and the column matrix
-    is unitary.
+    The one spectral routine of the package.  Raises :class:`NotHermitian`
+    if ``m`` is not Hermitian within ``tol``; its Hermitian part is diagonalised.
     """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def hermitian_eig(m, tol: float = DEFAULT_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigSystem:
-    """Diagonalise a Hermitian matrix by cyclic Jacobi rotations.
-
-    Each rotation is a complex Givens rotation absorbing the phase of the
-    targeted off-diagonal entry; a sweep visits every upper-triangle pair
-    once.  Raises :class:`NotHermitian` if the input is not Hermitian within
-    ``tol`` and :class:`NoConvergence` if the off-diagonal mass fails to fall
-    below ``JACOBI_CONVERGENCE * scale`` within ``max_sweeps`` sweeps.
-    """
-    a = _require_hermitian(as_matrix(m), tol)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return EigSystem(np.array([a[0, 0].real]), v)
-
-    target = JACOBI_CONVERGENCE * max(1.0, float(np.linalg.norm(a)))
-    skip = target / (2.0 * n)
-    converged = False
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off < target:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag <= skip:
-                    continue
-                phase = apq / mag
-                theta = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                t = -np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0)) if theta != 0.0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # Unitary J differs from identity only in rows/columns p, q:
-                #   J[p,p] = c, J[p,q] = -s, J[q,p] = conj(phase) s, J[q,q] = conj(phase) c
-                jp = np.conj(phase) * s
-                jq = np.conj(phase) * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p + jp * col_q
-                a[:, q] = -s * col_p + jq * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p + np.conj(jp) * row_q
-                a[q, :] = -s * row_p + np.conj(jq) * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                col_p = v[:, p].copy()
-                col_q = v[:, q].copy()
-                v[:, p] = c * col_p + jp * col_q
-                v[:, q] = -s * col_p + jq * col_q
-    else:
-        converged = np.linalg.norm(a - np.diag(np.diag(a))) < target
-    if not converged:
-        raise NoConvergence(f"Jacobi sweep budget of {max_sweeps} exhausted")
-
-    eigenvalues = np.diag(a).real.copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    return EigSystem(eigenvalues[order], v[:, order])
+    return np.linalg.eigvalsh(_require_hermitian(as_matrix(m), tol))
 
 
 def _eig_psd(eigenvalues: np.ndarray, tol: float) -> bool:
@@ -172,7 +94,7 @@ def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
 
     The test is ``min eigenvalue >= -tol * max(1, |max eigenvalue|)``.
     """
-    return _eig_psd(hermitian_eig(m, tol=tol).eigenvalues, tol)
+    return _eig_psd(hermitian_eig(m, tol), tol)
 
 
 def loewner_leq(a, b, tol: float = DEFAULT_TOL) -> bool:
@@ -205,5 +127,4 @@ def op_norm(m) -> float:
     """Operator norm: the largest singular value of ``m``."""
     m = as_matrix(m)
     gram = m.conj().T @ m
-    eig = hermitian_eig(gram)
-    return float(np.sqrt(max(0.0, eig.eigenvalues[-1])))
+    return float(np.sqrt(max(0.0, hermitian_eig(gram)[-1])))

@@ -131,6 +131,12 @@ def sample_sequence(instruments, prior=None, rng_seed: int = 0) -> Trajectory:
     return Trajectory(rng_seed, tuple((i.name, i.outcomes[k]) for i, k in zip(instruments, row)))
 
 
+def _check_step(instruments, step) -> None:
+    """:class:`ValidationError` unless ``step`` is an integer step index of ``instruments``."""
+    if not (_is_int(step) and 0 <= step < len(instruments)):
+        raise ValidationError(f"step index {step!r} out of range")
+
+
 def exact_sequence_probability(instruments, outcomes_at, prior=None) -> float:
     """Exact probability of observing the given outcomes at the given steps.
 
@@ -138,6 +144,8 @@ def exact_sequence_probability(instruments, outcomes_at, prior=None) -> float:
     are marginalised by using the instrument's summed (trivial) operation.
     """
     dim = _check_uniform_dim(instruments)
+    for step in outcomes_at:
+        _check_step(instruments, step)
     rho = _as_state(prior, dim)
     for s, inst in enumerate(instruments):
         if s in outcomes_at:
@@ -221,8 +229,7 @@ def estimate(
     c_step, c_out = condition
     t_step, t_out = target
     for step, out in ((c_step, c_out), (t_step, t_out)):
-        if not (_is_int(step) and 0 <= step < len(instruments)):
-            raise ValidationError(f"step index {step} out of range")
+        _check_step(instruments, step)
         if out not in instruments[step].ops:
             raise ValidationError(f"instrument '{instruments[step].name}' has no outcome '{out}'")
     if prior is not None and not isinstance(prior, DensityMatrix):

@@ -56,7 +56,7 @@ class DensityMatrix:
             m = _require_hermitian(as_matrix(self.matrix), tol / 10, "density matrix")
         except NotHermitian:
             raise InvariantViolation(f"density matrix is not Hermitian within {tol / 10:g}") from None
-        spectrum = hermitian_eig(m, tol).eigenvalues
+        spectrum = hermitian_eig(m, tol)
         if not _eig_psd(spectrum, tol):
             raise InvariantViolation(f"density matrix is not positive semidefinite within {tol:g}")
         if abs(np.trace(m) - 1.0) > tol / 10:
@@ -80,7 +80,7 @@ class Effect:
 
     def __post_init__(self, tol):
         m = _require_hermitian(as_matrix(self.matrix), tol, "effect")
-        spectrum = hermitian_eig(m, tol).eigenvalues
+        spectrum = hermitian_eig(m, tol)
         if not (_eig_psd(spectrum, tol) and _eig_psd(1.0 - spectrum[::-1], tol)):
             raise InvariantViolation("effect must satisfy 0 <= E <= I")
         m.setflags(write=False)

@@ -27,9 +27,10 @@ it is invisible to all composition statistics; this is equivalent to
 symmetrically for the reversed composition.
 
 All values are immutable after construction; every function is pure.
-Because a map never changes, :func:`classify` and the Choi spectrum it
-shares with :func:`is_cp` and :func:`extract_kraus` are computed once per
-(map, tolerance) and kept on the map.  Two threads racing on a first call may both compute the
+Because a map never changes, :func:`classify`, the Choi spectrum it
+shares with :func:`is_cp`, and the Kraus factor it shares with
+:func:`extract_kraus` are computed once per (map, tolerance) and kept on
+the map.  Two threads racing on a first call may both compute the
 value; they store equal results.
 """
 
@@ -92,9 +93,7 @@ class Superoperator:
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        d = self.dim
-        if not (_is_int(d) and d >= 1):
-            raise DimensionMismatch(f"dimension must be a positive integer, got {d!r}")
+        d = _require_dim(self.dim)
         m = as_matrix(self.mat)
         if m.shape != (d * d, d * d):
             raise DimensionMismatch(f"expected a {d * d}x{d * d} matrix, got shape {m.shape}")
@@ -107,6 +106,13 @@ class Superoperator:
         """Rank-4 view ``t[out_row, out_col, in_row, in_col]``."""
         d = self.dim
         return self.mat.reshape(d, d, d, d)
+
+
+def _require_dim(d) -> int:
+    """``d``, or :class:`DimensionMismatch` unless it is an integer ``>= 1``."""
+    if not (_is_int(d) and d >= 1):
+        raise DimensionMismatch(f"dimension must be a positive integer, got {d!r}")
+    return d
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,9 +255,9 @@ def _psd(m: np.ndarray, tol: float) -> bool:
 def is_cp(a: Superoperator, tol: float = DEFAULT_TOL) -> bool:
     """Complete positivity: the Choi matrix (the reshuffled map) is Hermitian
     positive semidefinite at ``tol``, read from the memoised Choi spectrum
-    that :func:`classify` and :func:`extract_kraus` share."""
-    eig = _choi_eig(a, tol)
-    return eig is not None and _eig_psd(eig.eigenvalues, tol)
+    that :func:`classify` shares."""
+    spectrum = _memoised(a, "choi_spectrum", tol, _choi_spectrum)
+    return spectrum is not None and _eig_psd(spectrum, tol)
 
 
 def _memoised(a: Superoperator, check: str, tol: float, compute):
@@ -262,42 +268,47 @@ def _memoised(a: Superoperator, check: str, tol: float, compute):
     return a._memo[key]
 
 
-def _choi_eig(a: Superoperator, tol: float):
-    """Spectral decomposition of the (hermitized) Choi matrix, or ``None``
-    if the Choi matrix is not Hermitian within ``tol``.  Memoised and
-    read-only; :func:`is_cp` is the one test of its positivity."""
-    return _memoised(a, "choi_eig", tol, _compute_choi_eig)
-
-
-def _compute_choi_eig(a: Superoperator, tol: float):
+def _choi_spectrum(a: Superoperator, tol: float):
+    """Read-only ascending spectrum of the (hermitized) Choi matrix, or
+    ``None`` if the Choi matrix is not Hermitian within ``tol``."""
     try:
-        eig = hermitian_eig(reshuffle(a).mat, tol=tol)
+        spectrum = hermitian_eig(reshuffle(a).mat, tol)
     except NotHermitian:
         return None
-    eig.eigenvalues.setflags(write=False)
-    eig.eigenvectors.setflags(write=False)
-    return eig
+    spectrum.setflags(write=False)
+    return spectrum
 
 
-def _kraus_from_eig(eig, dim: int, tol: float) -> KrausSet:
+def _kraus_factor(a: Superoperator, tol: float) -> KrausSet:
+    """Kraus matrices of a CP map from a pivoted Cholesky factor ``C = L L*``
+    of its Choi matrix ``C = sum_k vec(M_k) vec(M_k)*``: each step takes the
+    column of the largest remaining diagonal entry, stops once that entry is
+    ``<= tol``, and otherwise removes the column's rank-1 part.  Read-only."""
+    c = _require_hermitian(reshuffle(a).mat, tol)
     ops = []
-    for lam, vec in zip(eig.eigenvalues, eig.eigenvectors.T):
-        if lam > tol:
-            ops.append(np.sqrt(lam) * vec.reshape(dim, dim))
-    return KrausSet(dim, tuple(ops))
+    while True:
+        diag = c.diagonal().real
+        p = int(np.argmax(diag))
+        if diag[p] <= tol:
+            return KrausSet(a.dim, tuple(ops))
+        col = c[:, p] / np.sqrt(diag[p])
+        c -= np.outer(col, col.conj())
+        col.setflags(write=False)
+        ops.append(col.reshape(a.dim, a.dim))
 
 
 def extract_kraus(a: Superoperator, tol: float = DEFAULT_TOL) -> KrausSet:
     """Kraus matrices of a completely positive map.
 
-    Eigenvectors of the Choi matrix with eigenvalue above ``tol`` are scaled
-    by the square root of the eigenvalue and reshaped row-major.  The family
-    is unique only up to unitary mixing, so callers should compare maps by
-    round trip through :func:`from_kraus`, never operator by operator.
+    Columns of a pivoted Cholesky factor of the Choi matrix, reshaped
+    row-major; one matrix per pivot above ``tol``.  The family is unique
+    only up to unitary mixing, so callers should compare maps by round trip
+    through :func:`from_kraus`, never operator by operator.  Memoised per
+    (map, tol) and read-only.
     """
     if not is_cp(a, tol):
         raise NotCP("Kraus extraction requires a completely positive map")
-    return _kraus_from_eig(_choi_eig(a, tol), a.dim, tol)
+    return _memoised(a, "kraus", tol, _kraus_factor)
 
 
 def classify(a: Superoperator, tol: float = DEFAULT_TOL) -> OperationClass:
@@ -328,7 +339,7 @@ def _classify(a: Superoperator, tol: float) -> OperationClass:
     sub_tracial = _psd(eye - in_img, tol)
     operation = cp and sub_unital and sub_tracial
     if cp:
-        ks = _kraus_from_eig(_choi_eig(a, tol), a.dim, tol)
+        ks = extract_kraus(a, tol)
         s_in, s_out = _effect_pair(from_kraus(ks.ops, dim=a.dim))
         via_kraus = _psd(eye - s_out, tol) and _psd(eye - s_in, tol)
         if via_kraus != (sub_unital and sub_tracial):
@@ -363,12 +374,14 @@ def _require_trivial_sum(ops, tol: float, error, what: str) -> None:
 
 def unit(dim: int) -> Superoperator:
     """The identity map ``A -> A``."""
-    return Superoperator(dim, np.eye(dim * dim, dtype=complex))
+    d = _require_dim(dim)
+    return Superoperator(d, np.eye(d * d, dtype=complex))
 
 
 def zero(dim: int) -> Superoperator:
     """The zero map ``A -> 0``."""
-    return Superoperator(dim, np.zeros((dim * dim, dim * dim), dtype=complex))
+    d = _require_dim(dim)
+    return Superoperator(d, np.zeros((d * d, d * d), dtype=complex))
 
 
 def projecting(p, tol: float = DEFAULT_TOL) -> Superoperator:

@@ -4,8 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from retroops import (
-    EigSystem,
-    NoConvergence,
     NotHermitian,
     as_matrix,
     hermitian_eig,
@@ -19,7 +17,7 @@ from retroops import (
 import retroops as r
 from retroops.errors import DimensionMismatch, InvariantViolation
 
-from helpers import rand_hermitian, rand_matrix, rand_psd, rng
+from helpers import EigSystem, NoConvergence, jacobi_eig, oracle_eigvalsh, rand_hermitian, rand_matrix, rand_psd, rng
 
 
 def test_as_matrix_rejects_non_square():
@@ -36,7 +34,8 @@ def test_as_matrix_rejects_nonfinite():
 
 def test_eig_2x2_closed_form():
     # [[2, 1], [1, 2]] has eigenvalues 1 and 3.
-    eig = hermitian_eig([[2, 1], [1, 2]])
+    assert np.allclose(hermitian_eig([[2, 1], [1, 2]]), [1.0, 3.0], atol=1e-12)
+    eig = jacobi_eig([[2, 1], [1, 2]])
     assert np.allclose(eig.eigenvalues, [1.0, 3.0], atol=1e-12)
     assert np.allclose(eig.reconstruct(), [[2, 1], [1, 2]], atol=1e-12)
 
@@ -44,32 +43,35 @@ def test_eig_2x2_closed_form():
 def test_eig_complex_2x2_closed_form():
     # [[0, -i], [i, 0]] (Pauli Y) has eigenvalues -1 and 1.
     m = np.array([[0, -1j], [1j, 0]])
-    eig = hermitian_eig(m)
+    assert np.allclose(hermitian_eig(m), [-1.0, 1.0], atol=1e-12)
+    eig = jacobi_eig(m)
     assert np.allclose(eig.eigenvalues, [-1.0, 1.0], atol=1e-12)
     assert np.allclose(eig.reconstruct(), m, atol=1e-12)
 
 
 def test_eig_diagonal_passthrough():
-    eig = hermitian_eig(np.diag([3.0, -1.0, 2.0]))
+    m = np.diag([3.0, -1.0, 2.0])
+    assert np.array_equal(hermitian_eig(m), [-1.0, 2.0, 3.0])
+    eig = jacobi_eig(m)
     assert np.allclose(eig.eigenvalues, [-1.0, 2.0, 3.0])
     assert np.allclose(np.abs(eig.eigenvectors), np.eye(3)[:, [1, 2, 0]])
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 16, 25, 36, 49, 64])
 def test_eig_random_hermitian(n):
+    # n = 2..8, and n = d^2 for d = 2..8 (the Choi and storage matrices).
     gen = rng(100 + n)
-    for _ in range(25):
+    for _ in range(25 if n <= 9 else 2):
         m = rand_hermitian(gen, n)
-        eig = hermitian_eig(m)
-        # eigenvalues ascending
-        assert np.all(np.diff(eig.eigenvalues) >= -1e-13)
-        # columns unitary
+        eig = jacobi_eig(m)
+        # the oracle's columns are unitary and reconstruct m
         v = eig.eigenvectors
         assert np.abs(v.conj().T @ v - np.eye(n)).max() < 1e-12
-        # reconstruction
         assert np.abs(eig.reconstruct() - m).max() < 1e-11 * max(1.0, np.abs(m).max())
-        # spectrum matches the independent oracle
-        assert np.allclose(eig.eigenvalues, np.linalg.eigvalsh(m), atol=1e-10)
+        # the package's spectrum is ascending and matches the oracle
+        got = hermitian_eig(m)
+        assert np.all(np.diff(got) >= 0)
+        assert np.allclose(got, eig.eigenvalues, atol=1e-10)
 
 
 def test_eig_rejects_non_hermitian():
@@ -80,12 +82,12 @@ def test_eig_rejects_non_hermitian():
 def test_eig_no_convergence_with_zero_budget():
     m = rand_hermitian(rng(7), 4)
     with pytest.raises(NoConvergence):
-        hermitian_eig(m, max_sweeps=0)
+        jacobi_eig(m, max_sweeps=0)
 
 
 def test_eig_one_by_one():
-    eig = hermitian_eig([[5.0]])
-    assert eig.eigenvalues[0] == 5.0
+    assert hermitian_eig([[5.0]]).tolist() == [5.0]
+    assert jacobi_eig([[5.0]]).eigenvalues[0] == 5.0
 
 
 def test_is_psd():
@@ -93,9 +95,9 @@ def test_is_psd():
     for n in (2, 3, 5):
         assert is_psd(rand_psd(gen, n))
         m = rand_hermitian(gen, n)
-        m = m - (np.linalg.eigvalsh(m)[0] - 1.0) * np.eye(n)  # shift min eig to +1
+        m = m - (oracle_eigvalsh(m)[0] - 1.0) * np.eye(n)  # shift min eig to +1
         assert is_psd(m)
-        assert not is_psd(m - 2.0 * np.eye(n) * np.linalg.eigvalsh(m)[-1])
+        assert not is_psd(m - 2.0 * np.eye(n) * oracle_eigvalsh(m)[-1])
 
 
 def test_is_psd_tolerance_edge():
@@ -155,7 +157,7 @@ def test_op_norm_known_values():
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=2, max_value=5))
 def test_eig_reconstruction_property(seed, n):
     m = rand_hermitian(rng(seed), n)
-    eig = hermitian_eig(m)
+    eig = jacobi_eig(m)
     scale = max(1.0, float(np.abs(m).max()))
     assert np.abs(eig.reconstruct() - m).max() < 1e-11 * scale
 
@@ -170,7 +172,7 @@ def test_op_norm_submultiplicative(seed):
 
 
 def test_eigsystem_is_frozen():
-    eig = hermitian_eig(np.eye(2))
+    eig = jacobi_eig(np.eye(2))
     assert isinstance(eig, EigSystem)
     with pytest.raises(AttributeError):
         eig.eigenvalues = None

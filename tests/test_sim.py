@@ -197,6 +197,15 @@ def test_estimate_validation():
     assert r.sample_sequence([z], rng_seed=2**128 - 1).seed == 2**128 - 1
 
 
+def test_exact_sequence_probability_rejects_bad_steps():
+    # Every key must name a step, as in estimate; True is not the step 1.
+    z = z_instrument()
+    for step in (5, -1, True):
+        with pytest.raises(ValidationError, match="step index"):
+            r.exact_sequence_probability([z], {step: "+"})
+    assert r.exact_sequence_probability([z], {0: "+"}) == pytest.approx(0.5)
+
+
 def test_estimate_zero_condition():
     z = z_instrument()
     with pytest.raises(ZeroCondition):

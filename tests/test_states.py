@@ -8,6 +8,7 @@ from helpers import (
     PXP,
     PZM,
     PZP,
+    oracle_eigvalsh,
     rand_operation,
     rand_projector,
     rng,
@@ -38,7 +39,7 @@ def test_density_matrix_keeps_its_ascending_spectrum():
     gen = rng(77)
     for n in (2, 3, 4):
         rho = r.DensityMatrix(rand_projector(gen, n, rank=1) * 0.25 + np.eye(n) * 0.75 / n)
-        assert np.allclose(rho.spectrum, np.linalg.eigvalsh(rho.matrix), rtol=0, atol=1e-12)
+        assert np.allclose(rho.spectrum, oracle_eigvalsh(rho.matrix), rtol=0, atol=1e-12)
         assert list(rho.spectrum) == sorted(rho.spectrum)
     assert "spectrum" not in repr(r.DensityMatrix(PZP))
 
@@ -80,7 +81,7 @@ def test_states_are_valid_density_matrices():
                 m = rho.matrix
                 assert np.abs(m - m.conj().T).max() < 1e-10
                 assert abs(np.trace(m) - 1.0) < 1e-10
-                assert np.linalg.eigvalsh(m)[0] > -1e-9
+                assert oracle_eigvalsh(m)[0] > -1e-9
 
 
 def test_posterior_is_prior_of_reverse():

@@ -16,6 +16,7 @@ from helpers import (
     PXP,
     PZM,
     PZP,
+    oracle_eigvalsh,
     rand_cp,
     rand_hermitian,
     rand_matrix,
@@ -71,6 +72,9 @@ def test_dim_mismatch():
     for bad in (True, False, 0):
         with pytest.raises(DimensionMismatch):
             r.unit(bad)
+    for build in (r.unit, r.zero):
+        with pytest.raises(DimensionMismatch):
+            build(2.0)
     with pytest.raises(DimensionMismatch):
         r.Superoperator(2.0, np.eye(4))
     assert r.Superoperator(np.int64(2), np.eye(4)).dim == 2
@@ -92,7 +96,6 @@ def test_values_holding_arrays_compare_by_identity():
     values = [
         a,
         r.extract_kraus(a),
-        r.hermitian_eig(np.eye(2)),
         r.DensityMatrix(np.eye(2) / 2),
         r.Effect(np.eye(2) / 2),
         r.make_instrument({"a": a}, name="I"),
@@ -178,7 +181,7 @@ def test_trace_laws(n):
 
 def test_positivity_quadratic_form_oracle():
     # is_positive(a) must agree with min over random A of tr[A* a(A)] >= 0
-    # and with the numpy spectral oracle on the storage matrix.
+    # and with the Jacobi spectral oracle on the storage matrix.
     gen = rng(33)
     for n in (2, 3):
         for make, expected in ((rand_cp, None), (rand_noncp, None)):
@@ -186,9 +189,8 @@ def test_positivity_quadratic_form_oracle():
                 a = make(gen, n)
                 herm = np.abs(a.mat - a.mat.conj().T).max() < 1e-10
                 sym = (a.mat + a.mat.conj().T) / 2.0
-                oracle = herm and np.linalg.eigvalsh(sym)[0] >= -1e-9 * max(
-                    1.0, abs(np.linalg.eigvalsh(sym)[-1])
-                )
+                vals = oracle_eigvalsh(sym) if herm else None
+                oracle = herm and vals[0] >= -1e-9 * max(1.0, abs(vals[-1]))
                 got = r.is_positive(a)
                 assert got == oracle
                 if got:
@@ -200,7 +202,7 @@ def test_positivity_quadratic_form_oracle():
 
 
 def test_cp_oracle_agreement():
-    # is_cp must agree with the numpy spectral oracle on the Choi matrix,
+    # is_cp must agree with the Jacobi spectral oracle on the Choi matrix,
     # with zero disagreements over CP and certified non-CP samples.
     gen = rng(34)
     for n in (2, 3):
@@ -208,7 +210,7 @@ def test_cp_oracle_agreement():
             a = rand_cp(gen, n)
             assert r.is_cp(a)
             choi = r.reshuffle(a).mat
-            assert np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0] > -1e-9
+            assert oracle_eigvalsh(choi)[0] > -1e-9
         for _ in range(25):
             a = rand_noncp(gen, n)
             assert not r.is_cp(a)
@@ -221,7 +223,7 @@ def test_cp_implies_psd_images():
         a = rand_cp(gen, 3)
         p = rand_projector(gen, 3)
         img = r.apply(a, p)
-        assert np.linalg.eigvalsh((img + img.conj().T) / 2)[0] > -1e-9 * max(
+        assert oracle_eigvalsh(img)[0] > -1e-9 * max(
             1.0, np.abs(img).max()
         )
 
@@ -234,6 +236,20 @@ def test_kraus_round_trip(n):
         ks = r.extract_kraus(a)
         rebuilt = r.from_kraus(ks.ops, dim=n)
         assert np.abs(rebuilt.mat - a.mat).max() < 1e-9 * max(1.0, np.abs(a.mat).max())
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+def test_kraus_factor_round_trip_and_count(d):
+    # Kraus rank 1, d and d^2: the factor rebuilds the map within 1e-12, and
+    # has one matrix per oracle Choi eigenvalue above tol.
+    gen = rng(50 + d)
+    for rank in (1, d, d * d):
+        a = r.from_kraus([rand_matrix(gen, d) for _ in range(rank)])
+        ks = r.extract_kraus(a)
+        rebuilt = r.from_kraus(ks.ops, dim=d)
+        assert np.abs(rebuilt.mat - a.mat).max() < 1e-12 * max(1.0, np.abs(a.mat).max())
+        choi_eigs = oracle_eigvalsh(r.reshuffle(a).mat)
+        assert len(ks) == int((choi_eigs > r.DEFAULT_TOL).sum()) == rank
 
 
 def test_kraus_of_projector():

@@ -1,7 +1,8 @@
 """Checks run once per immutable value.
 
-``classify`` and the Choi spectrum it shares with ``extract_kraus`` are
-memoised on the map per tolerance, and ``summed`` returns one map per
+``classify``, the Choi spectrum it shares with ``is_cp`` and the Kraus
+factor it shares with ``extract_kraus`` are memoised on the map per
+tolerance, and ``summed`` returns one map per
 (instrument, event).  Eigensolves are counted by wrapping
 ``hermitian_eig`` in every module of the package that binds it.
 """
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import retroops as r
-from retroops import cli, matcore, superop
+from retroops import cli, matcore
 
 from helpers import (
     PZP,
@@ -185,9 +186,10 @@ def test_map_and_cached_spectrum_are_read_only():
     a = rand_operation(rng(306), 2)
     cls = r.classify(a)
     assert cls.operation
-    eig = superop._choi_eig(a, matcore.DEFAULT_TOL)
-    assert eig is superop._choi_eig(a, matcore.DEFAULT_TOL)
-    for arr in (a.mat, eig.eigenvalues, eig.eigenvectors):
+    spectrum = a._memo["choi_spectrum", matcore.DEFAULT_TOL]
+    ks = r.extract_kraus(a)
+    assert ks is r.extract_kraus(a)
+    for arr in (a.mat, spectrum) + ks.ops:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
