@@ -359,7 +359,7 @@ def cmd_state(scn: Scenario, args, tol: float) -> dict:
 
 def _parse_step_outcome(text: str, what: str) -> tuple:
     step, sep, out = text.partition(":")
-    if not sep or not step.isdigit():
+    if not sep or not (step.isascii() and step.isdigit()):
         raise ValidationError(f"{what} must look like STEP:OUTCOME, got {text!r}")
     return int(step), out
 

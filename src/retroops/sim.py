@@ -11,11 +11,20 @@ of a trial's node and its uniform ``u`` in ``[0, 1)``, the trial takes outcome
 ``k`` when ``c_{k-1} <= u < c_k`` (``c_{-1} = 0``), and the last outcome when
 ``u >= c_{K-2}``: ``searchsorted(c, u, side="right")`` capped at ``K - 1``.  A
 tie goes to the later outcome, so ``u = 0`` never selects a leading
-zero-weight branch.  The count is made one outcome column at a time: the
-cumulative weights are transposed once into a contiguous ``(K, nodes)``
-array, and a trial's outcome is the number of the first ``K - 1`` columns
-with ``u >= c_k[node]``, one 1-D ``take`` and one compare per column.  The
-columns never decrease, so this equals the capped count over all ``K``.
+zero-weight branch.
+
+One step is one BLAS product: the node states, read as ``(nodes, d*d)``
+rows, times the instrument's components side by side, ``(d*d, K*d*d)``,
+give every node's ``K`` images.  The weights are built outcome-major, one
+contiguous ``(nodes,)`` row per outcome: the real diagonal entries of its
+images added in index order, then clamped at 0.  The cumulative rows are
+``K - 1`` row additions in ``cumsum`` order, and the last is the branch sum
+checked at ``tol / 10``.  A trial's outcome is the number of the first
+``K - 1`` rows with ``u >= c_k[node]``, one 1-D ``take`` and one compare per
+row; the rows never decrease, so this equals the capped count over all
+``K``.  numpy hands a one-row product to gemv, whose bits can differ from
+the same row of a gemm, so a lone node is computed as row 0 of a two-row
+product: a node's images never depend on how many nodes share its step.
 
 Trials with one outcome history share a node of the history tree.
 :func:`estimate` samples its trials in chunks of at most ``_CHUNK`` and keeps
@@ -101,21 +110,31 @@ def _check_uniform_dim(instruments) -> int:
 
 
 def _stack(inst: Instrument) -> np.ndarray:
-    """The component matrices ``(K, d*d, d*d)`` of an instrument, in outcome order."""
-    return np.stack([inst.op(label).mat for label in inst.outcomes])
+    """An instrument's component matrices, transposed and side by side in
+    outcome order: one contiguous ``(d*d, K*d*d)`` matrix whose columns
+    ``k*d*d`` to ``(k+1)*d*d - 1`` give a flat state's image under component ``k``."""
+    return np.concatenate([inst.op(label).mat.T for label in inst.outcomes], axis=1)
 
 
-def _branch_probs(mats: np.ndarray, states: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
-    """Branch probabilities ``(n, K)`` and images ``(n, K, d, d)`` of a stack of
-    states under an instrument's stacked component matrices ``mats``."""
+def _branch_probs(mats: np.ndarray, states: np.ndarray) -> tuple:
+    """Branch weights ``(n, K)`` and images ``(n, K, d, d)`` of a stack of
+    states ``(n, d, d)`` under an instrument's :func:`_stack` ``mats``.
+
+    Both are views: the weights of an outcome-major ``(K, n)`` array, the
+    images of the one product ``(n, d*d) @ mats``, which for ``n = 1`` is row
+    0 of a two-row product (see the module docstring).
+    """
     n, d = states.shape[:2]
-    images = (mats @ states.reshape(n, 1, d * d, 1)).reshape(n, len(mats), d, d)
-    probs = np.maximum(0.0, np.trace(images, axis1=2, axis2=3).real)
-    sums = probs.sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > tol / 10)
-    if bad.size:
-        raise InvariantViolation(f"branch probabilities sum to {sums[bad[0]]:.12g}, not 1")
-    return probs, images
+    rows = states.reshape(n, d * d)
+    images = (np.concatenate((rows, rows)) @ mats)[:1] if n == 1 else rows @ mats
+    k_count = mats.shape[1] // (d * d)
+    # diag[k, i] is the real diagonal entry (i, i) of outcome k's image, over all nodes.
+    diag = images.real.reshape(n, k_count, d * d).transpose(1, 2, 0)[:, :: d + 1]
+    weights = diag[:, 0].copy()
+    for i in range(1, d):
+        weights += diag[:, i]
+    np.maximum(0.0, weights, out=weights)
+    return weights.T, images.reshape(n, k_count, d, d)
 
 
 def _generator(seed) -> np.random.Generator:
@@ -137,11 +156,14 @@ def _check_step(instruments, step) -> None:
         raise ValidationError(f"step index {step!r} out of range")
 
 
-def exact_sequence_probability(instruments, outcomes_at, prior=None) -> float:
+def exact_sequence_probability(instruments, outcomes_at, prior=None, tol: float = DEFAULT_TOL) -> float:
     """Exact probability of observing the given outcomes at the given steps.
 
     ``outcomes_at`` maps step indices to outcome labels; unspecified steps
     are marginalised by using the instrument's summed (trivial) operation.
+    The trace is returned as a probability at ``tol``: rounding within
+    ``tol`` of 0 or 1 is clamped, anything farther out raises
+    :class:`InvariantViolation`.
     """
     dim = _check_uniform_dim(instruments)
     for step in outcomes_at:
@@ -153,7 +175,7 @@ def exact_sequence_probability(instruments, outcomes_at, prior=None) -> float:
         else:
             op = summed(inst, inst.outcomes)
         rho = apply(op, rho)
-    return float(np.trace(rho).real)
+    return _as_probability(complex(np.trace(rho)), tol)
 
 
 def _sampler_setup(instruments, prior) -> tuple:
@@ -170,7 +192,9 @@ def _sample_outcome_matrix(
     ``trials * steps`` uniforms of ``gen``.
 
     ``states`` holds one state per occupied node and ``node`` each trial's
-    node; the occupied children ``node * K + outcome`` are renumbered in order.
+    node; the occupied children ``node * K + outcome`` are renumbered in order,
+    and a selected branch is one of them, so the ``_ZERO_BRANCH`` floor is
+    checked on their weights.
     The uniforms and outcomes are held step by step (one contiguous row per
     step), and the outcomes are returned as the ``(trials, steps)`` view.
     ``setup`` is :func:`_sampler_setup` of ``instruments`` and ``prior``, for
@@ -181,21 +205,25 @@ def _sample_outcome_matrix(
     node = np.zeros(trials, dtype=np.int64)
     outcomes = np.zeros((len(instruments), trials), dtype=np.int64)
     for s, mats in enumerate(stacks):
-        k_count = len(mats)
-        probs, images = _branch_probs(mats, states, tol)
-        cum = np.cumsum(probs, axis=1).T.copy()
+        probs, images = _branch_probs(mats, states)
+        k_count = probs.shape[1]
+        cum = probs.T.copy()
+        for k in range(1, k_count):
+            cum[k] += cum[k - 1]
+        bad = np.flatnonzero(np.abs(cum[-1] - 1.0) > tol / 10)
+        if bad.size:
+            raise InvariantViolation(f"branch probabilities sum to {cum[-1, bad[0]]:.12g}, not 1")
         idx = outcomes[s]
         for k in range(k_count - 1):
             idx += u[s] >= cum[k].take(node)
         code = node * k_count + idx
-        flat_probs = probs.ravel()
-        if np.any(flat_probs.take(code) < _ZERO_BRANCH):
-            raise ZeroProbabilityBranch("a numerically zero branch was selected")
         occupied = np.bincount(code, minlength=probs.size) > 0
         node = (np.cumsum(occupied) - 1).take(code)
         flat = np.flatnonzero(occupied)
-        images = images.reshape(-1, *states.shape[1:])
-        states = images.take(flat, axis=0) / flat_probs.take(flat)[:, None, None]
+        chosen = probs.ravel().take(flat)
+        if np.any(chosen < _ZERO_BRANCH):
+            raise ZeroProbabilityBranch("a numerically zero branch was selected")
+        states = images.reshape(-1, *states.shape[1:]).take(flat, axis=0) / chosen[:, None, None]
     return outcomes.T
 
 
@@ -235,13 +263,13 @@ def estimate(
     if prior is not None and not isinstance(prior, DensityMatrix):
         prior = DensityMatrix(prior, tol)
 
-    p_cond = exact_sequence_probability(instruments, {c_step: c_out}, prior)
+    p_cond = exact_sequence_probability(instruments, {c_step: c_out}, prior, tol)
     if p_cond <= tol:
         raise ZeroCondition("conditioning outcome has zero exact probability")
     if c_step == t_step and c_out != t_out:
         p_joint = 0.0
     else:
-        p_joint = exact_sequence_probability(instruments, {c_step: c_out, t_step: t_out}, prior)
+        p_joint = exact_sequence_probability(instruments, {c_step: c_out, t_step: t_out}, prior, tol)
     exact = _as_probability(complex(p_joint / p_cond), tol)
 
     c_idx = instruments[c_step].outcomes.index(c_out)

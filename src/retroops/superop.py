@@ -166,8 +166,11 @@ def from_kraus(ops, dim: int | None = None) -> Superoperator:
     stack = np.stack(mats)
     if stack.shape[1:] != (d, d):
         raise DimensionMismatch("Kraus matrices must share one square shape")
-    t = np.einsum("kgr,kdc->gdrc", stack, stack.conj())
-    return Superoperator(d, t.reshape(d * d, d * d))
+    # The Choi matrix sum_k vec(M_k) vec(M_k)* is one product; its axes
+    # (out_row, in_row, out_col, in_col) are reordered into storage.
+    v = stack.reshape(len(mats), d * d)
+    choi = v.T @ v.conj()
+    return Superoperator(d, choi.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d))
 
 
 def _common_dim(values, what: str) -> int:

@@ -86,6 +86,18 @@ def test_exit_code_validation_errors():
     }
 
 
+@pytest.mark.parametrize("target", ["\u00b2:+", "\u0661:+"], ids=["superscript-two", "arabic-indic-one"])
+def test_step_index_takes_ascii_digits_only(capsys, target):
+    # "\u00b2".isdigit() holds but int("\u00b2") fails, and int("\u0661") is 1:
+    # only ASCII digits name a step.
+    argv = ["--scenario", QUBIT, "--json", "simulate", "--steps", "Z", "X",
+            "--condition", "1:+", "--target", target]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ValidationError", "message": f"--target must look like STEP:OUTCOME, got {target!r}"
+    }
+
+
 def test_oversized_dim_fails_fast(tmp_path):
     # Over the limit the scenario is refused before any map is built, with
     # the size it asked for (14.6 TiB at dim 1000); at the limit it parses.

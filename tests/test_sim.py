@@ -386,3 +386,54 @@ def test_estimate_memory_is_bounded_in_trials():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < ceiling_mb
+
+
+def test_exact_sequence_probability_stays_in_unit_interval():
+    # With no outcome fixed, six trace-preserving steps give 1 up to
+    # rounding, which can land above 1; a probability is clamped into [0, 1].
+    gen = rng(93)
+    for trial in range(80):
+        d = 2 + trial % 4
+        insts = [unsharp_instrument(gen, d, int(gen.integers(2, 5))) for _ in range(6)]
+        step = int(gen.integers(6))
+        for fixed in ({}, {step: insts[step].outcomes[0]}):
+            p = r.exact_sequence_probability(insts, fixed)
+            assert 0.0 <= p <= 1.0, (d, fixed, p)
+
+
+def test_branch_probs_do_not_depend_on_batch_size():
+    # numpy hands a one-row product to gemv and larger ones to gemm; a node's
+    # weights and images are the same bits alone, beside one node, or in a
+    # batch of 7 or 1000.
+    from retroops.sim import _branch_probs, _stack
+
+    gen = rng(94)
+    for d in (2, 3, 4, 8):
+        mats = _stack(unsharp_instrument(gen, d, 3))
+        states = []
+        for _ in range(1000):
+            u = rand_unitary(gen, d)
+            states.append((u * gen.dirichlet(np.ones(d))) @ u.conj().T)
+        states = np.array(states)
+        probs, images = _branch_probs(mats, states)
+        for n in (1, 2, 7):
+            for start in range(0, 14, n):
+                p, im = _branch_probs(mats, states[start : start + n])
+                assert np.array_equal(p, probs[start : start + n]), (d, n, start)
+                assert np.array_equal(im, images[start : start + n]), (d, n, start)
+
+
+def test_scalar_sampler_agreement_at_larger_dims():
+    # K = d outcomes at d = 5..8, and K = 8 outcomes of a qubit instrument.
+    from retroops.sim import _sample_outcome_matrix
+
+    gen = rng(95)
+    for n, k in ((5, 5), (6, 6), (7, 7), (8, 8), (2, 8)):
+        sharp = r.make_instrument({str(j): op for j, op in enumerate(luders_resolution(gen, n))}, name=f"L{n}")
+        unsharp = unsharp_instrument(gen, n, k)
+        insts = [unsharp, sharp, unsharp]
+        seed = int(gen.integers(2**32))
+        outcomes = _sample_outcome_matrix(insts, None, 200, philox(seed))
+        rho = np.eye(n, dtype=complex) / n
+        for t in range(200):
+            assert outcomes[t].tolist() == scalar_outcomes(insts, rho, philox_row(seed, t, len(insts)))
