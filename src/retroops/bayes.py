@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .errors import InvariantViolation, NotResolution, ValidationError, ZeroCondition
 from .matcore import DEFAULT_TOL, _as_probability, _is_int
-from .superop import SUM_TOL, Superoperator, _require_operation, _require_trivial_sum, adjoint, compose, event_weight
+from .superop import Superoperator, _composed_weight, _require_operation, _require_trivial_sum, adjoint, event_weight
 
 __all__ = [
     "p_pred",
@@ -41,26 +41,29 @@ def _weight(a: Superoperator, tol: float) -> float:
     return w.real
 
 
-def _conditional(a: Superoperator, b: Superoperator, joint, tol: float, check: bool) -> float:
-    """``event_weight(joint()) / event_weight(b)`` for operations ``a`` and
-    ``b``, clamped to ``[0, 1]``; ``joint`` builds the caller's composition."""
+def _conditional(a: Superoperator, b: Superoperator, joint: tuple, tol: float, check: bool) -> float:
+    """``event_weight(compose(*joint)) / event_weight(b)`` for operations
+    ``a`` and ``b``, clamped to ``[0, 1]``; ``joint`` is the caller's
+    composition order.  The joint weight is read from the raw product of
+    the two checked maps, and :func:`_as_probability` rejects a non-finite
+    quotient, which only maps passed with ``check=False`` can overflow to."""
     if check:
         _require_operation(a, tol, "first argument")
         _require_operation(b, tol, "second argument")
     wb = _weight(b, tol)
     if wb <= tol:
         raise ZeroCondition("conditioning operation has zero event weight")
-    return _as_probability(event_weight(joint()) / wb, tol)
+    return _as_probability(_composed_weight(*joint) / wb, tol)
 
 
 def p_pred(a: Superoperator, b: Superoperator, tol: float = DEFAULT_TOL, check: bool = True) -> float:
     """Predictive conditional probability of ``a`` given that ``b`` just fired."""
-    return _conditional(a, b, lambda: compose(a, b), tol, check)
+    return _conditional(a, b, (a, b), tol, check)
 
 
 def p_retro(a: Superoperator, b: Superoperator, tol: float = DEFAULT_TOL, check: bool = True) -> float:
     """Retrodictive conditional probability of ``a`` given that ``b`` fires next."""
-    return _conditional(a, b, lambda: compose(b, a), tol, check)
+    return _conditional(a, b, (b, a), tol, check)
 
 
 def p_prior(a: Superoperator, tol: float = DEFAULT_TOL, check: bool = True) -> float:
@@ -80,19 +83,27 @@ def _check_resolution(a_list, tol: float) -> None:
     _require_trivial_sum(a_list, tol, NotResolution, "members must sum to a trivial operation")
 
 
-def _bayes(cond, a_list, b: Superoperator, j: int, tol: float) -> float:
-    """``cond(b, a_j) p_prior(a_j) / sum_k cond(b, a_k) p_prior(a_k)`` over a resolution.
+def _bayes(joint, a_list, b: Superoperator, j: int, tol: float) -> float:
+    """``cond(b, a_j) p_prior(a_j) / sum_k cond(b, a_k) p_prior(a_k)`` over a resolution,
+    with ``cond(b, a) = event_weight(compose(*joint(b, a))) / event_weight(a)``.
 
-    A member of zero event weight has ``p_prior`` 0, so its term is 0.  An
-    index ``j`` outside ``range(len(a_list))`` is a :class:`ValidationError`.
+    The members and ``b`` are checked once, up front, so each term is
+    computed as :func:`p_pred` (or :func:`p_retro`) and :func:`p_prior`
+    compute it, reading each member's event weight once.  A member of zero
+    event weight has ``p_prior`` 0, so its term is 0.  An index ``j``
+    outside ``range(len(a_list))`` is a :class:`ValidationError`.
     """
     _check_resolution(a_list, tol)
     if not (_is_int(j) and 0 <= j < len(a_list)):
         raise ValidationError(f"index {j} out of range for a {len(a_list)}-member resolution")
     _require_operation(b, tol, "condition")
-    if p_prior(b, tol) <= tol:
+    if p_prior(b, tol, check=False) <= tol:
         raise ZeroCondition("condition has zero unconditional probability")
-    terms = [cond(b, a, tol) * p_prior(a, tol) if _weight(a, tol) > tol else 0.0 for a in a_list]
+    weights = [_weight(a, tol) for a in a_list]
+    terms = [
+        _as_probability(_composed_weight(*joint(b, a)) / w, tol) * _as_probability(w / a.dim, tol) if w > tol else 0.0
+        for a, w in zip(a_list, weights)
+    ]
     total = sum(terms)
     if total <= tol:
         raise ZeroCondition("normalisation of the Bayes formula vanished")
@@ -106,7 +117,7 @@ def bayes_retrodict(a_list, b: Superoperator, j: int, tol: float = DEFAULT_TOL) 
     for any finite resolution ``a_list`` (operations with trivial sum) and
     any operation ``b`` with ``p_prior(b) > 0``.
     """
-    return _bayes(p_pred, a_list, b, j, tol)
+    return _bayes(lambda b, a: (b, a), a_list, b, j, tol)
 
 
 def bayes_predict(a_list, b: Superoperator, j: int, tol: float = DEFAULT_TOL) -> float:
@@ -114,7 +125,7 @@ def bayes_predict(a_list, b: Superoperator, j: int, tol: float = DEFAULT_TOL) ->
 
     ``p_pred(a_j, b) = p_retro(b, a_j) p_prior(a_j) / sum_k p_retro(b, a_k) p_prior(a_k)``.
     """
-    return _bayes(p_retro, a_list, b, j, tol)
+    return _bayes(lambda b, a: (a, b), a_list, b, j, tol)
 
 
 def time_reverse(a: Superoperator, tol: float = DEFAULT_TOL) -> Superoperator:

@@ -29,6 +29,8 @@ any identity the command checks.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -391,12 +393,26 @@ def cmd_run(scn: Scenario, args, tol: float) -> dict:
         if task["command"] not in COMMANDS:
             raise ValidationError(f"task {k}: unknown command {task['command']!r}")
         argv = [task["command"], *[str(x) for x in task.get("args", [])]]
-        sub = args.parser.parse_args(argv)
+        sub = _parse_task(args.parser, argv, k)
         # The root options are not accepted after a subcommand, so a task
         # always takes --seed and --trials from the parent command line.
         sub.seed, sub.trials = args.seed, args.trials
         reports.append(COMMANDS[sub.command](scn, sub, tol))
     return {"command": "run", "tolerance": tol, "tasks": reports}
+
+
+def _parse_task(parser: argparse.ArgumentParser, argv: list, k: int) -> argparse.Namespace:
+    """``parser.parse_args(argv)`` for task ``k``.  Where argparse would print
+    help or a usage error and exit, which would end ``run`` without a report,
+    the task is a :class:`ValidationError` carrying argparse's message."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            return parser.parse_args(argv)
+    except SystemExit as e:
+        if e.code == 0:
+            raise ValidationError(f"task {k}: asks for help; a task must be a command to run") from None
+        raise ValidationError(f"task {k}: {out.getvalue().strip().splitlines()[-1]}") from None
 
 
 COMMANDS = {

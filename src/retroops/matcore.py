@@ -17,6 +17,7 @@ floor for a selected branch is a rounding floor, not a tolerance.
 
 from __future__ import annotations
 
+import math
 from numbers import Integral
 
 import numpy as np
@@ -34,6 +35,11 @@ def as_matrix(entries) -> np.ndarray:
     m = np.asarray(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    return _require_finite(m)
+
+
+def _require_finite(m: np.ndarray) -> np.ndarray:
+    """``m``, or :class:`ValidationError` if an entry is not finite."""
     if not np.isfinite(m).all():
         raise ValidationError("matrix entries must be finite")
     return m
@@ -78,9 +84,12 @@ def _as_probability(value: complex, tol: float) -> float:
     """Validate and clamp a computed probability.
 
     Values within ``tol`` of 0 or 1 clamp to the boundary; values farther
-    outside ``[0, 1]``, or with an imaginary part above ``tol``, raise
-    :class:`InvariantViolation` to surface bugs instead of hiding them.
+    outside ``[0, 1]``, with an imaginary part above ``tol``, or with a
+    non-finite part raise :class:`InvariantViolation` to surface bugs
+    instead of hiding them.
     """
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise InvariantViolation(f"probability {value!r} is not finite")
     if abs(value.imag) > tol:
         raise InvariantViolation(f"probability has imaginary part {value.imag:.3e}")
     v = value.real

@@ -223,7 +223,11 @@ def _sample_outcome_matrix(
         chosen = probs.ravel().take(flat)
         if np.any(chosen < _ZERO_BRANCH):
             raise ZeroProbabilityBranch("a numerically zero branch was selected")
-        states = images.reshape(-1, *states.shape[1:]).take(flat, axis=0) / chosen[:, None, None]
+        states = images.reshape(-1, *states.shape[1:]).take(flat, axis=0)
+        # numpy divides a complex entry by a real one as a multiply by the
+        # reciprocal, so scaling the float view gives the quotient's values.
+        real = states.view(np.float64)
+        real *= (1.0 / chosen)[:, None, None]
     return outcomes.T
 
 

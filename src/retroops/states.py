@@ -125,7 +125,7 @@ def state_of_instrument(inst, event, direction: str = "prior", tol: float = DEFA
 def effects_of(a: Superoperator, tol: float = DEFAULT_TOL) -> tuple:
     """The effect pair ``(sum M_k* M_k, sum M_k M_k*)`` of an operation."""
     _require_operation(a, tol, "argument")
-    return tuple(Effect(m, tol) for m in _effect_pair(a))
+    return tuple(Effect(m, tol) for m in _effect_pair(a.dim, a.mat))
 
 
 def expect(rho: DensityMatrix, obs, tol: float = DEFAULT_TOL) -> float:

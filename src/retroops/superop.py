@@ -26,6 +26,17 @@ it is invisible to all composition statistics; this is equivalent to
 ``event_weight(b)`` for every operation ``b`` iff ``adjoint(a)(I) = I``, and
 symmetrically for the reversed composition.
 
+Every value is checked once, where it enters.  The constructors that take
+numbers from a caller check them: ``Superoperator`` (and through it
+``from_tensor``, ``compose``, ``add`` and ``scale``) and ``from_kraus``
+require finite entries of the right shape.  The three involutions build
+their result without a second check, because each one only moves,
+conjugates or transposes the entries of a checked matrix, exactly: the
+result is finite and of the same shape.  For the same reason the
+trivial-sum check reads the identity's images from the raw sum of the
+members' matrices, and the Bayes joints in :mod:`retroops.bayes` read an
+event weight from the raw product of two checked maps.
+
 All values are immutable after construction; every function is pure.
 Because a map never changes, :func:`classify`, the Choi spectrum it
 shares with :func:`is_cp`, and the Kraus factor it shares with
@@ -51,7 +62,9 @@ from .errors import (
     NotUnitary,
     ValidationError,
 )
-from .matcore import DEFAULT_TOL, _eig_psd, _is_int, _require_hermitian, as_matrix, hermitian_eig, is_psd
+from .matcore import (
+    DEFAULT_TOL, _eig_psd, _is_int, _require_finite, _require_hermitian, as_matrix, hermitian_eig, is_psd,
+)
 
 __all__ = [
     "Superoperator",
@@ -108,6 +121,20 @@ class Superoperator:
         return self.mat.reshape(d, d, d, d)
 
 
+def _rearranged(dim: int, m: np.ndarray) -> Superoperator:
+    """A map whose matrix ``m`` is an exact rearrangement (entries moved,
+    conjugated or transposed) of a checked map's matrix, built without a
+    second check.  ``m`` must be C-contiguous and fresh or a view of
+    read-only storage; it is made read-only, and the map starts with an
+    empty memo."""
+    a = object.__new__(Superoperator)
+    m.setflags(write=False)
+    object.__setattr__(a, "dim", dim)
+    object.__setattr__(a, "mat", m)
+    object.__setattr__(a, "_memo", {})
+    return a
+
+
 def _require_dim(d) -> int:
     """``d``, or :class:`DimensionMismatch` unless it is an integer ``>= 1``."""
     if not (_is_int(d) and d >= 1):
@@ -155,17 +182,21 @@ def from_tensor(mat, dim: int | None = None) -> Superoperator:
 
 def from_kraus(ops, dim: int | None = None) -> Superoperator:
     """Build ``A -> sum_k M_k A M_k*`` from a list of Kraus matrices."""
-    mats = [as_matrix(m) for m in ops]
+    mats = [np.asarray(m, dtype=complex) for m in ops]
     if not mats:
         if dim is None:
             raise DimensionMismatch("empty Kraus list needs an explicit dimension")
         return zero(dim)
-    d = mats[0].shape[0]
+    shapes = {m.shape for m in mats}
+    if len(shapes) != 1:
+        raise DimensionMismatch(f"Kraus matrices must share one square shape, got {sorted(shapes)}")
+    stack = np.stack(mats)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise DimensionMismatch(f"expected square Kraus matrices, got shape {stack.shape[1:]}")
+    _require_finite(stack)
+    d = stack.shape[1]
     if dim is not None and dim != d:
         raise DimensionMismatch(f"Kraus matrices are {d}x{d}, expected dim {dim}")
-    stack = np.stack(mats)
-    if stack.shape[1:] != (d, d):
-        raise DimensionMismatch("Kraus matrices must share one square shape")
     # The Choi matrix sum_k vec(M_k) vec(M_k)* is one product; its axes
     # (out_row, in_row, out_col, in_col) are reordered into storage.
     v = stack.reshape(len(mats), d * d)
@@ -200,8 +231,8 @@ def conjugate_map(a: Superoperator) -> Superoperator:
 
     Maps with a Kraus form are exactly its fixed points.
     """
-    t = a.tensor.transpose(1, 0, 3, 2).conj()
-    return Superoperator(a.dim, t.reshape(a.mat.shape))
+    t = np.conjugate(a.tensor.transpose(1, 0, 3, 2), order="C")
+    return _rearranged(a.dim, t.reshape(a.mat.shape))
 
 
 def adjoint(a: Superoperator) -> Superoperator:
@@ -214,7 +245,7 @@ def adjoint(a: Superoperator) -> Superoperator:
     and index-permuted (same spectrum), and its images of the identity, like
     the two sums of its Kraus family ``{M_k*}``, are ``a``'s swapped.
     """
-    rev = Superoperator(a.dim, a.mat.conj().T)
+    rev = _rearranged(a.dim, np.conjugate(a.mat.T, order="C"))
     for (check, tol), cls in list(a._memo.items()):
         if check == "classify":
             rev._memo[check, tol] = replace(cls, sub_unital=cls.sub_tracial, sub_tracial=cls.sub_unital)
@@ -224,7 +255,7 @@ def adjoint(a: Superoperator) -> Superoperator:
 def reshuffle(a: Superoperator) -> Superoperator:
     """Exchange the map's matrix with its Choi matrix (self-inverse)."""
     t = a.tensor.transpose(0, 2, 1, 3)
-    return Superoperator(a.dim, t.reshape(a.mat.shape))
+    return _rearranged(a.dim, t.reshape(a.mat.shape))
 
 
 def hs_trace(a: Superoperator) -> complex:
@@ -235,6 +266,13 @@ def hs_trace(a: Superoperator) -> complex:
 def event_weight(a: Superoperator) -> complex:
     """``tr a(I)``: the unnormalised "yes"-weight of the map."""
     return complex(np.einsum("bbaa->", a.tensor))
+
+
+def _composed_weight(a: Superoperator, b: Superoperator) -> complex:
+    """``event_weight(compose(a, b))``, to the bit: the same einsum on the raw
+    product, since a product of checked maps needs no second check."""
+    d = _common_dim((a, b), "superoperators")
+    return complex(np.einsum("bbaa->", (a.mat @ b.mat).reshape(d, d, d, d)))
 
 
 def is_positive(a: Superoperator, tol: float = DEFAULT_TOL) -> bool:
@@ -327,23 +365,25 @@ def classify(a: Superoperator, tol: float = DEFAULT_TOL) -> OperationClass:
     return _memoised(a, "classify", tol, _classify)
 
 
-def _effect_pair(a: Superoperator) -> tuple:
-    """``(adjoint(a)(I), a(I))``, which are ``(sum M_k* M_k, sum M_k M_k*)`` for Kraus matrices ``M_k``."""
-    eye = np.eye(a.dim)
-    return apply(adjoint(a), eye), apply(a, eye)
+def _effect_pair(dim: int, m: np.ndarray) -> tuple:
+    """``(adjoint(a)(I), a(I))`` of the map ``a`` with storage matrix ``m``,
+    which are ``(sum M_k* M_k, sum M_k M_k*)`` for Kraus matrices ``M_k``;
+    computed as ``apply(adjoint(a), I)`` and ``apply(a, I)`` compute them."""
+    eye = np.eye(dim, dtype=complex).ravel()
+    return (np.conjugate(m.T, order="C") @ eye).reshape(dim, dim), (m @ eye).reshape(dim, dim)
 
 
 def _classify(a: Superoperator, tol: float) -> OperationClass:
     eye = np.eye(a.dim)
     positive = is_positive(a, tol)
     cp = is_cp(a, tol)
-    in_img, out_img = _effect_pair(a)
+    in_img, out_img = _effect_pair(a.dim, a.mat)
     sub_unital = _psd(eye - out_img, tol)
     sub_tracial = _psd(eye - in_img, tol)
     operation = cp and sub_unital and sub_tracial
     if cp:
         ks = extract_kraus(a, tol)
-        s_in, s_out = _effect_pair(from_kraus(ks.ops, dim=a.dim))
+        s_in, s_out = _effect_pair(a.dim, from_kraus(ks.ops, dim=a.dim).mat)
         via_kraus = _psd(eye - s_out, tol) and _psd(eye - s_in, tol)
         if via_kraus != (sub_unital and sub_tracial):
             raise InvariantViolation(
@@ -367,10 +407,13 @@ def _require_trivial_sum(ops, tol: float, error, what: str) -> None:
     are within ``10 * tol`` entrywise, the tier for sums over members.
 
     The one trivial-sum check, shared by Bayes resolutions and instruments.
+    The members are checked maps of one dim, so their matrices are summed
+    raw, in :func:`add`'s order.
     """
-    total = reduce(add, ops)
-    eye = np.eye(total.dim)
-    dev_in, dev_out = (float(np.abs(img - eye).max()) for img in _effect_pair(total))
+    d = _common_dim(ops, "superoperators")
+    eye = np.eye(d)
+    total = reduce(np.add, (a.mat for a in ops))
+    dev_in, dev_out = (float(np.abs(img - eye).max()) for img in _effect_pair(d, total))
     if max(dev_out, dev_in) > 10 * tol:
         raise error(f"{what}; |sum(I) - I| = {dev_out:.3e}, |adjoint(sum)(I) - I| = {dev_in:.3e}")
 

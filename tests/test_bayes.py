@@ -313,3 +313,21 @@ def test_probability_validation_guards():
         _as_probability(complex(1.5), 1e-9)
     with pytest.raises(InvariantViolation):
         _as_probability(complex(0.5, 1e-3), 1e-9)
+    # NaN compares false with every bound, so it used to clamp to 0 or pass.
+    for value in (complex(float("nan"), 0.0), complex(0.5, float("nan")), complex(float("inf"), 0.0)):
+        with pytest.raises(InvariantViolation, match="not finite"):
+            _as_probability(value, 1e-9)
+
+
+def test_overflowed_joint_is_a_typed_error():
+    # Only maps passed with check=False can overflow the joint weight; the
+    # quotient is rejected as a non-finite probability, never clamped.
+    big = r.Superoperator(2, 1e200 * np.eye(4))
+    m = np.zeros((4, 4))
+    m[0, 0] = m[3, 3] = m[0, 3] = 1e200
+    m[3, 0] = -1e200  # +inf and -inf meet in the joint: a NaN weight
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in (big, r.Superoperator(2, m)):
+            for formula in (r.p_pred, r.p_retro):
+                with pytest.raises(InvariantViolation, match="not finite"):
+                    formula(a, big, check=False)

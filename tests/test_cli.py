@@ -358,3 +358,18 @@ def test_run_rejects_a_task_that_is_not_a_subcommand(tmp_path, capsys, task):
     path = _scenario_with_tasks(tmp_path, [task])
     assert cli.main(["--scenario", path, "--json", "run"]) == cli.EXIT_VALIDATION
     assert json.loads(capsys.readouterr().out)["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("task,message", [
+    ({"command": "check", "args": ["-h"]}, "task 1: asks for help; a task must be a command to run"),
+    ({"command": "prob", "args": ["--pred", "px+"]},
+     "task 1: retroops prob: error: argument --pred: expected 2 arguments"),
+])
+def test_run_rejects_a_task_argparse_would_exit_on(tmp_path, task, message):
+    # argparse prints help (exit 0) or usage (exit 2) and exits; inside run
+    # that would drop every report, so the task is a ValidationError instead.
+    path = _scenario_with_tasks(tmp_path, [{"command": "check", "args": ["pz+"]}, task])
+    proc = run_cli("--scenario", path, "--json", "run")
+    assert proc.returncode == cli.EXIT_VALIDATION
+    assert json.loads(proc.stdout) == {"error": "ValidationError", "message": message}
+    assert proc.stderr == ""

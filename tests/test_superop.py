@@ -78,6 +78,9 @@ def test_dim_mismatch():
     with pytest.raises(DimensionMismatch):
         r.Superoperator(2.0, np.eye(4))
     assert r.Superoperator(np.int64(2), np.eye(4)).dim == 2
+    # Kraus matrices of two shapes are checked on the stack, before np.stack.
+    with pytest.raises(DimensionMismatch, match="share one square shape"):
+        r.from_kraus([np.eye(2), np.eye(3)])
 
 
 def test_overflowed_entries_are_validation_errors():
@@ -85,6 +88,8 @@ def test_overflowed_entries_are_validation_errors():
     for bad in (np.full((4, 4), np.inf), np.full((4, 4), np.nan * 1j)):
         with pytest.raises(ValidationError, match="matrix entries must be finite"):
             r.Superoperator(2, bad)
+        with pytest.raises(ValidationError, match="matrix entries must be finite"):
+            r.from_kraus([np.eye(2), bad[:2, :2]])
     with pytest.raises(ValidationError):
         r.scale(r.unit(2), -1.0)
 
@@ -108,6 +113,26 @@ def test_values_holding_arrays_compare_by_identity():
     assert r.make_instrument({"a": r.unit(2)}, name="I") != r.make_instrument({"a": r.unit(2)}, name="I")
     assert r.make_instrument({"a": a}, name="I") != r.make_instrument({"a": a}, name="I")
     assert len(set(values)) == len(values)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_rearrangements_equal_their_checked_construction(n):
+    # adjoint, reshuffle and conjugate_map skip the entry check; their
+    # matrices equal the checked map built from the same rearrangement,
+    # read-only and C-contiguous, and only adjoint inherits a memo entry.
+    a = rand_superop(rng(320 + n), n)
+    r.classify(a)
+    t = a.tensor
+    for f, m in (
+        (r.adjoint, a.mat.conj().T),
+        (r.reshuffle, t.transpose(0, 2, 1, 3).reshape(n * n, n * n)),
+        (r.conjugate_map, t.transpose(1, 0, 3, 2).conj().reshape(n * n, n * n)),
+    ):
+        got = f(a)
+        assert got.dim == n
+        assert np.array_equal(got.mat, r.Superoperator(n, m).mat)
+        assert got.mat.flags.c_contiguous and not got.mat.flags.writeable
+        assert [check for check, _ in got._memo] == (["classify"] if f is r.adjoint else [])
 
 
 def test_superoperator_immutable():

@@ -1,6 +1,8 @@
 """Checks run once per immutable value.
 
-``classify``, the Choi spectrum it shares with ``is_cp`` and the Kraus
+A value derived exactly from checked maps (a rearrangement, a Bayes joint,
+a resolution sum) is not checked again, and gives the bits of the checked
+formula.  ``classify``, the Choi spectrum it shares with ``is_cp`` and the Kraus
 factor it shares with ``extract_kraus`` are memoised on the map per
 tolerance, and ``summed`` returns one map per
 (instrument, event).  Eigensolves are counted by wrapping
@@ -26,6 +28,7 @@ from helpers import (
     rand_resolution,
     rand_unitary,
     rng,
+    unsharp_instrument,
     x_instrument,
     z_instrument,
 )
@@ -239,3 +242,55 @@ def test_extract_kraus_after_is_cp_makes_no_eigensolve(eig_calls):
     ks = r.extract_kraus(a)
     assert len(eig_calls) == 1
     assert np.abs(r.from_kraus(ks.ops, dim=3).mat - a.mat).max() < 1e-9
+
+
+def _clamped(value: complex) -> float:
+    return min(1.0, max(0.0, value.real))
+
+
+def _ref_cond(first, then, cond):
+    """``event_weight(compose(first, then)) / event_weight(cond)`` through a checked composition."""
+    return _clamped(r.event_weight(r.compose(first, then)) / r.event_weight(cond).real)
+
+
+def _ref_bayes(joint, res, b, j):
+    terms = [
+        _ref_cond(*joint(b, a), a) * r.p_prior(a) if r.event_weight(a).real > matcore.DEFAULT_TOL else 0.0
+        for a in res
+    ]
+    return _clamped(complex(terms[j] / sum(terms)))
+
+
+def _ref_state(a):
+    """``a(I) / tr a(I)`` through a checked map and ``apply``."""
+    m = r.apply(a, np.eye(a.dim))
+    m = (m + m.conj().T) / 2.0
+    return r.DensityMatrix(m / float(np.trace(m).real)).matrix
+
+
+def test_probabilities_and_states_match_the_checked_formula_to_the_bit():
+    gen = rng(313)
+    for d in range(2, 9):
+        for _ in range(3):
+            a, b = rand_operation(gen, d), rand_operation(gen, d)
+            assert r.p_pred(a, b) == _ref_cond(a, b, b)
+            assert r.p_retro(a, b) == _ref_cond(b, a, b)
+            assert np.array_equal(r.state_posterior(a).matrix, _ref_state(a))
+            assert np.array_equal(r.state_prior(a).matrix, _ref_state(r.Superoperator(d, a.mat.conj().T)))
+        res = rand_resolution(gen, d, 3)
+        for j in range(3):
+            assert r.bayes_retrodict(res, b, j) == _ref_bayes(lambda x, y: (x, y), res, b, j)
+            assert r.bayes_predict(res, b, j) == _ref_bayes(lambda x, y: (y, x), res, b, j)
+        i, k = unsharp_instrument(gen, d, 3), unsharp_instrument(gen, d, 2)
+        a_ev, b_ev = ["e0", "e2"], ["e1"]
+        ia, kb = r.summed(i, a_ev), r.summed(k, b_ev)
+        assert r.p_cond_pred(i, k, a_ev, b_ev) == _ref_cond(ia, kb, kb)
+        assert r.p_cond_retro(i, k, a_ev, b_ev) == _ref_cond(kb, ia, kb)
+
+
+def test_mixed_dims_resolution_is_a_dimension_mismatch():
+    # The members are operations; only the trivial-sum check sees two dims.
+    res = [r.scale(r.unit(2), 0.5), r.scale(r.unit(3), 0.5)]
+    for formula in (r.bayes_retrodict, r.bayes_predict):
+        with pytest.raises(r.DimensionMismatch, match=r"mixed dims \[2, 3\]"):
+            formula(res, r.unit(2), 0)
