@@ -10,7 +10,20 @@ class DimensionMismatch(RetroOpsError):
 
 
 class NotHermitian(RetroOpsError):
-    """A matrix required to be Hermitian fails the tolerance check."""
+    """A matrix required to be Hermitian fails the tolerance check.
+
+    ``defect`` is ``|m - m*|_F``, ``scale`` is ``max(1, |m|_F)`` and ``tol``
+    the relative bound: the check failed because ``defect > tol * scale``.
+    The defaults let pickle rebuild the error from its message; it then
+    restores the three numbers.
+    """
+
+    def __init__(self, message: str, *, defect: float | None = None, scale: float | None = None,
+                 tol: float | None = None):
+        super().__init__(message)
+        self.defect = defect
+        self.scale = scale
+        self.tol = tol
 
 
 class NotCP(RetroOpsError):

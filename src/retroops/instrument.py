@@ -85,6 +85,10 @@ def product(i: Instrument, j: Instrument, tol: float = DEFAULT_TOL) -> Instrumen
 
 
 def _event_labels(i: Instrument, event) -> tuple:
+    """The labels of ``event``, a collection of outcome labels; a bare string
+    is a :class:`ValidationError`, not a collection of its characters."""
+    if isinstance(event, str):
+        raise ValidationError(f"event must be a collection of outcome labels, got the string {event!r}")
     labels = tuple(event)
     unknown = [x for x in labels if x not in i.ops]
     if unknown:

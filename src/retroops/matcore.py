@@ -58,12 +58,17 @@ def _same_dim(a: np.ndarray, b: np.ndarray) -> None:
 def _require_hermitian(m: np.ndarray, tol: float, what: str = "matrix") -> np.ndarray:
     """The Hermitian part ``(m + m*) / 2`` of ``m``, or :class:`NotHermitian`
     unless ``|m - m*|_F <= tol * max(1, |m|_F)``.  The Frobenius norm is
-    unitarily invariant, so the verdict does not depend on the basis."""
-    defect = float(np.linalg.norm(m - m.conj().T))
-    scale = max(1.0, float(np.linalg.norm(m)))
+    unitarily invariant, so the verdict does not depend on the basis.  Both
+    norms come from one conjugate transpose, each as ``sqrt(vdot(x, x))``."""
+    h = m.conj().T
+    skew = m - h
+    defect = math.sqrt(np.vdot(skew, skew).real)
+    scale = max(1.0, math.sqrt(np.vdot(m, m).real))
     if defect > tol * scale:
-        raise NotHermitian(f"{what} deviates from Hermitian by {defect:.3e} (scale {scale:.3e})")
-    return (m + m.conj().T) / 2.0
+        raise NotHermitian(
+            f"{what} deviates from Hermitian by {defect:.3e} (scale {scale:.3e})", defect=defect, scale=scale, tol=tol
+        )
+    return (m + h) / 2.0
 
 
 def hermitian_eig(m, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -242,7 +242,8 @@ def estimate(
 ) -> FreqReport:
     """Empirical frequency of ``target`` among trajectories matching ``condition``.
 
-    ``condition`` and ``target`` are ``(step index, outcome label)`` pairs.
+    ``condition`` and ``target`` are ``(step index, outcome label)`` pairs
+    (tuples or lists of two); anything else is a :class:`ValidationError`.
     The exact reference value is the ratio of the exact joint and condition
     probabilities, which for the maximally mixed prior coincides with the
     instrument-level conditional probabilities (predictive or retrodictive
@@ -258,12 +259,14 @@ def estimate(
     if not (_is_int(trials) and trials >= 1):
         raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
     gen = _generator(seed)
-    c_step, c_out = condition
-    t_step, t_out = target
-    for step, out in ((c_step, c_out), (t_step, t_out)):
+    for what, pair in (("condition", condition), ("target", target)):
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+            raise ValidationError(f"{what} must be a (step, outcome) pair, got {pair!r}")
+        step, out = pair
         _check_step(instruments, step)
         if out not in instruments[step].ops:
             raise ValidationError(f"instrument '{instruments[step].name}' has no outcome '{out}'")
+    (c_step, c_out), (t_step, t_out) = condition, target
     if prior is not None and not isinstance(prior, DensityMatrix):
         prior = DensityMatrix(prior, tol)
 

@@ -17,6 +17,14 @@ bridges the states back to the conditional probability functionals:
 
     p_pred(a, b)  = tr[state_posterior(b) @ effects_of(a)[0]]
     p_retro(a, b) = tr[state_prior(b)     @ effects_of(a)[1]]
+
+An inferred state reads its identity image from the map's matrix, as
+``apply(adjoint(a), I)`` or ``apply(a, I)`` computes it, and builds no
+adjoint map; both images are computed once per map and kept on it,
+read-only.  The image is checked Hermitian at ``tol``; the
+:class:`DensityMatrix` built from it checks Hermiticity a second time, at
+``tol / 10``, inside its one :func:`hermitian_eig` call, whose spectrum is
+also its positivity test.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import numpy as np
 
 from .errors import InvariantViolation, NotHermitian, ValidationError, ZeroCondition
 from .matcore import DEFAULT_TOL, _eig_psd, _require_hermitian, _same_dim, as_matrix, hermitian_eig
-from .superop import Superoperator, _effect_pair, _require_operation, adjoint, apply
+from .superop import Superoperator, _identity_images, _require_operation
 from . import instrument as _instr
 
 __all__ = [
@@ -45,22 +53,25 @@ __all__ = [
 class DensityMatrix:
     """A positive unit-trace matrix; validated at construction, storing the
     Hermitian part and, read-only, the ascending ``spectrum`` its positivity
-    test computed."""
+    test computed.  The one :func:`hermitian_eig` call is also the shape,
+    finiteness and Hermitian check, at ``tol / 10``."""
 
     matrix: np.ndarray
     tol: InitVar[float] = DEFAULT_TOL
     spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, tol):
+        m = np.asarray(self.matrix, dtype=complex)
         try:
-            m = _require_hermitian(as_matrix(self.matrix), tol / 10, "density matrix")
+            spectrum = hermitian_eig(m, tol / 10)
         except NotHermitian:
             raise InvariantViolation(f"density matrix is not Hermitian within {tol / 10:g}") from None
-        spectrum = hermitian_eig(m, tol)
+        m = (m + m.conj().T) / 2.0
         if not _eig_psd(spectrum, tol):
             raise InvariantViolation(f"density matrix is not positive semidefinite within {tol:g}")
-        if abs(np.trace(m) - 1.0) > tol / 10:
-            raise InvariantViolation(f"density matrix trace {np.trace(m):.12g} is not 1 within {tol / 10:g}")
+        tr = m.trace()
+        if abs(tr - 1.0) > tol / 10:
+            raise InvariantViolation(f"density matrix trace {tr:.12g} is not 1 within {tol / 10:g}")
         m.setflags(write=False)
         spectrum.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -87,10 +98,10 @@ class Effect:
         object.__setattr__(self, "matrix", m)
 
 
-def _normalized_image(a: Superoperator, tol: float) -> DensityMatrix:
-    """The state ``a(I) / tr a(I)``."""
-    m = _require_hermitian(apply(a, np.eye(a.dim)), tol, "operation image")
-    w = float(np.trace(m).real)
+def _normalized_image(image: np.ndarray, tol: float) -> DensityMatrix:
+    """The state ``image / tr image`` for the identity's image under an operation."""
+    m = _require_hermitian(image, tol, "operation image")
+    w = float(m.trace().real)
     if w <= tol:
         raise ZeroCondition("operation has zero event weight; no state is inferable")
     return DensityMatrix(m / w, tol)
@@ -100,14 +111,14 @@ def state_prior(a: Superoperator, tol: float = DEFAULT_TOL, check: bool = True) 
     """Density matrix inferred for the input of operation ``a`` given that it fired."""
     if check:
         _require_operation(a, tol, "argument")
-    return _normalized_image(adjoint(a), tol)
+    return _normalized_image(_identity_images(a)[0], tol)
 
 
 def state_posterior(a: Superoperator, tol: float = DEFAULT_TOL, check: bool = True) -> DensityMatrix:
     """Density matrix inferred for the output of operation ``a`` given that it fired."""
     if check:
         _require_operation(a, tol, "argument")
-    return _normalized_image(a, tol)
+    return _normalized_image(_identity_images(a)[1], tol)
 
 
 def state_of_instrument(inst, event, direction: str = "prior", tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -119,13 +130,13 @@ def state_of_instrument(inst, event, direction: str = "prior", tol: float = DEFA
     if direction not in ("prior", "posterior"):
         raise ValidationError(f"direction must be 'prior' or 'posterior', got {direction!r}")
     total = _instr.summed(inst, event)
-    return _normalized_image(adjoint(total) if direction == "prior" else total, tol)
+    return _normalized_image(_identity_images(total)[direction == "posterior"], tol)
 
 
 def effects_of(a: Superoperator, tol: float = DEFAULT_TOL) -> tuple:
     """The effect pair ``(sum M_k* M_k, sum M_k M_k*)`` of an operation."""
     _require_operation(a, tol, "argument")
-    return tuple(Effect(m, tol) for m in _effect_pair(a.dim, a.mat))
+    return tuple(Effect(m, tol) for m in _identity_images(a))
 
 
 def expect(rho: DensityMatrix, obs, tol: float = DEFAULT_TOL) -> float:

@@ -41,8 +41,10 @@ All values are immutable after construction; every function is pure.
 Because a map never changes, :func:`classify`, the Choi spectrum it
 shares with :func:`is_cp`, and the Kraus factor it shares with
 :func:`extract_kraus` are computed once per (map, tolerance) and kept on
-the map.  Two threads racing on a first call may both compute the
-value; they store equal results.
+the map.  :func:`event_weight`, and the identity's two images once an
+inferred state asks for them, take no tolerance and are kept once per
+map.  Two threads racing on a first call may both compute the value; they
+store equal results.
 """
 
 from __future__ import annotations
@@ -264,7 +266,11 @@ def hs_trace(a: Superoperator) -> complex:
 
 
 def event_weight(a: Superoperator) -> complex:
-    """``tr a(I)``: the unnormalised "yes"-weight of the map."""
+    """``tr a(I)``: the unnormalised "yes"-weight of the map, computed once per map."""
+    return _memoised(a, "event_weight", None, _event_weight)
+
+
+def _event_weight(a: Superoperator, _tol) -> complex:
     return complex(np.einsum("bbaa->", a.tensor))
 
 
@@ -373,6 +379,20 @@ def _effect_pair(dim: int, m: np.ndarray) -> tuple:
     return (np.conjugate(m.T, order="C") @ eye).reshape(dim, dim), (m @ eye).reshape(dim, dim)
 
 
+def _identity_images(a: Superoperator) -> tuple:
+    """:func:`_effect_pair` of the map ``a``, read-only, computed on the first
+    call and kept on the map.  Only the inferred states and effects read it,
+    so a map that is only classified or queried for probabilities keeps none."""
+    return _memoised(a, "identity_images", None, _read_only_effect_pair)
+
+
+def _read_only_effect_pair(a: Superoperator, _tol) -> tuple:
+    pair = _effect_pair(a.dim, a.mat)
+    for m in pair:
+        m.setflags(write=False)
+    return pair
+
+
 def _classify(a: Superoperator, tol: float) -> OperationClass:
     eye = np.eye(a.dim)
     positive = is_positive(a, tol)
@@ -408,12 +428,16 @@ def _require_trivial_sum(ops, tol: float, error, what: str) -> None:
 
     The one trivial-sum check, shared by Bayes resolutions and instruments.
     The members are checked maps of one dim, so their matrices are summed
-    raw, in :func:`add`'s order.
+    raw, in :func:`add`'s order.  Each image is fresh, so ``image - I`` is
+    formed in place on its diagonal, with no identity matrix.
     """
     d = _common_dim(ops, "superoperators")
-    eye = np.eye(d)
     total = reduce(np.add, (a.mat for a in ops))
-    dev_in, dev_out = (float(np.abs(img - eye).max()) for img in _effect_pair(d, total))
+    devs = []
+    for img in _effect_pair(d, total):
+        img.flat[:: d + 1] -= 1.0
+        devs.append(float(np.abs(img).max()))
+    dev_in, dev_out = devs
     if max(dev_out, dev_in) > 10 * tol:
         raise error(f"{what}; |sum(I) - I| = {dev_out:.3e}, |adjoint(sum)(I) - I| = {dev_in:.3e}")
 

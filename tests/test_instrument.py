@@ -230,3 +230,16 @@ def test_instrument_components_are_a_bayes_resolution():
     for k in range(len(res)):
         assert abs(r.bayes_retrodict(res, b, k) - r.p_retro(res[k], b)) <= 2 * SUM_TOL
         assert abs(r.bayes_predict(res, b, k) - r.p_pred(res[k], b)) <= 2 * SUM_TOL
+
+
+def test_a_string_event_is_not_a_collection_of_its_characters():
+    z = z_instrument()
+    for call in (
+        lambda: r.p_inst(z, "+-"),
+        lambda: r.summed(z, "+"),
+        lambda: r.p_cond_pred(z, z, ["+"], "+"),
+        lambda: r.state_of_instrument(z, "+-"),
+    ):
+        with pytest.raises(ValidationError, match="event must be a collection of outcome labels"):
+            call()
+    assert r.p_inst(z, ["+", "-"]) == 1.0

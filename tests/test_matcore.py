@@ -77,6 +77,15 @@ def test_eig_random_hermitian(n):
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         hermitian_eig([[0, 1], [0, 0]])
+    # The error carries the numbers of the test it failed.
+    m = np.array([[0.0, 2.0], [0.0, 0.0]])
+    with pytest.raises(NotHermitian) as info:
+        hermitian_eig(m, 1e-6)
+    e = info.value
+    assert e.defect == pytest.approx(np.linalg.norm(m - m.T), rel=1e-15)
+    assert (e.scale, e.tol) == (2.0, 1e-6)
+    assert e.defect > e.tol * e.scale
+    assert str(e) == "matrix deviates from Hermitian by 2.828e+00 (scale 2.000e+00)"
 
 
 def test_eig_no_convergence_with_zero_budget():

@@ -195,6 +195,11 @@ def test_estimate_validation():
         r.sample_sequence([z], rng_seed=-1)
     assert r.estimate([z], (0, "+"), (0, "+"), trials=10, seed=np.int64(2**63 - 1)).hits > 0
     assert r.sample_sequence([z], rng_seed=2**128 - 1).seed == 2**128 - 1
+    for bad in (5, None, (0,), (0, "+", 1), "0+", {0: "+"}):
+        for kw in ({"condition": bad, "target": (0, "+")}, {"condition": (0, "+"), "target": bad}):
+            with pytest.raises(ValidationError, match=r"must be a \(step, outcome\) pair"):
+                r.estimate([z], trials=10, **kw)
+    assert r.estimate([z], [0, "+"], [0, "+"], trials=10).hits > 0
 
 
 def test_exact_sequence_probability_rejects_bad_steps():

@@ -4,8 +4,8 @@ A value derived exactly from checked maps (a rearrangement, a Bayes joint,
 a resolution sum) is not checked again, and gives the bits of the checked
 formula.  ``classify``, the Choi spectrum it shares with ``is_cp`` and the Kraus
 factor it shares with ``extract_kraus`` are memoised on the map per
-tolerance, and ``summed`` returns one map per
-(instrument, event).  Eigensolves are counted by wrapping
+tolerance, ``event_weight`` is memoised per map, and ``summed`` returns one
+map per (instrument, event).  Eigensolves are counted by wrapping
 ``hermitian_eig`` in every module of the package that binds it.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import retroops as r
-from retroops import cli, matcore
+from retroops import cli, matcore, superop
 
 from helpers import (
     PZP,
@@ -34,20 +34,26 @@ from helpers import (
 )
 
 
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """A list that grows by one entry (the first argument) per call of
+    ``module.name``, wrapped in every module of the package that binds it."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0] if args else None)
+        return real(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "retroops" and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
 @pytest.fixture
 def eig_calls(monkeypatch):
     """A list that grows by one entry per Hermitian eigendecomposition."""
-    calls = []
-    real = matcore.hermitian_eig
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "retroops" and getattr(mod, "hermitian_eig", None) is real:
-            monkeypatch.setattr(mod, "hermitian_eig", counted)
-    return calls
+    return _count_calls(monkeypatch, matcore, "hermitian_eig")
 
 
 def test_probabilities_on_classified_maps_make_no_eigensolve(eig_calls):
@@ -294,3 +300,48 @@ def test_mixed_dims_resolution_is_a_dimension_mismatch():
     for formula in (r.bayes_retrodict, r.bayes_predict):
         with pytest.raises(r.DimensionMismatch, match=r"mixed dims \[2, 3\]"):
             formula(res, r.unit(2), 0)
+
+
+def test_inferred_states_check_hermiticity_twice_and_eigensolve_once(monkeypatch, eig_calls):
+    # An inferred state reads the identity's image from the map (no adjoint
+    # map is built), checks the raw image at tol, and its density matrix
+    # checks Hermiticity inside its one eigensolve.
+    adjoints = _count_calls(monkeypatch, superop, "adjoint")
+    hermitian = _count_calls(monkeypatch, matcore, "_require_hermitian")
+    gen = rng(314)
+    for d in range(2, 9):
+        a = rand_operation(gen, d)
+        inst = unsharp_instrument(gen, d, 3)
+        r.classify(a)
+        inferred = (
+            lambda: r.state_prior(a),
+            lambda: r.state_posterior(a),
+            lambda: r.state_of_instrument(inst, ["e0", "e2"], "prior"),
+            lambda: r.state_of_instrument(inst, ["e0", "e2"], "posterior"),
+        )
+        for state in inferred:
+            for _ in range(2):
+                for counter in (adjoints, eig_calls, hermitian):
+                    counter.clear()
+                rho = state()
+                assert len(adjoints) == 0
+                assert len(eig_calls) == 1
+                assert len(hermitian) <= 2
+                assert not rho.matrix.flags.writeable and not rho.spectrum.flags.writeable
+
+
+def test_event_weights_are_computed_once_per_map(monkeypatch):
+    computed = _count_calls(monkeypatch, superop, "_event_weight")
+    gen = rng(315)
+    for d in range(2, 9):
+        computed.clear()
+        a, b = rand_operation(gen, d), rand_operation(gen, d)
+        res = rand_resolution(gen, d, 3)
+        rounds = [
+            (r.p_pred(a, b), r.p_retro(a, b), r.p_prior(a), r.bayes_retrodict(res, b, 0), r.bayes_predict(res, b, 2))
+            for _ in range(3)
+        ]
+        assert rounds[0] == rounds[1] == rounds[2]
+        assert sorted(map(id, computed)) == sorted(map(id, [a, b] + res))
+        for m in [a, b] + res:
+            assert r.event_weight(m) == complex(np.einsum("bbaa->", m.tensor))
