@@ -74,14 +74,12 @@ def _parse_scalar(x, where: str) -> complex:
     raise ValidationError(f"{where}: expected a finite number or [re, im] pair, got {x!r}")
 
 
-def _parse_matrix(rows, where: str) -> np.ndarray:
-    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
-        raise ValidationError(f"{where}: expected a nested array of rows")
-    parsed = [[_parse_scalar(x, where) for x in row] for row in rows]
-    widths = {len(r) for r in parsed}
-    if len(widths) != 1 or widths.pop() != len(parsed):
-        raise ValidationError(f"{where}: matrix must be square")
-    return np.array(parsed, dtype=complex)
+def _parse_matrix(rows, where: str, side: int) -> np.ndarray:
+    """A ``side x side`` matrix of :func:`_parse_scalar` entries; the shape is
+    checked before any entry is read, and before any map is built from it."""
+    if not (isinstance(rows, list) and len(rows) == side and all(isinstance(r, list) and len(r) == side for r in rows)):
+        raise ValidationError(f"{where}: expected a {side}x{side} nested array of rows")
+    return np.array([[_parse_scalar(x, where) for x in row] for row in rows], dtype=complex)
 
 
 def serialize_matrix(m: np.ndarray) -> list:
@@ -124,17 +122,16 @@ def _lookup(table: dict, kind: str, name, where: str):
 
 
 def _build_operation(scn: Scenario, name: str, defn: dict, tol: float) -> Superoperator:
+    if not isinstance(defn, dict):
+        raise ValidationError(f"'{name}': definition must be an object")
     if "kraus" in defn:
-        mats = [_parse_matrix(m, f"'{name}' kraus[{k}]") for k, m in enumerate(defn["kraus"])]
-        for k, m in enumerate(mats):
-            if m.shape != (scn.dim, scn.dim):
-                raise ValidationError(f"'{name}' kraus[{k}]: expected {scn.dim}x{scn.dim}")
-        return superop.from_kraus(mats)
+        if not isinstance(defn["kraus"], list):
+            raise ValidationError(f"'{name}': 'kraus' must be a list of matrices, got {defn['kraus']!r}")
+        return superop.from_kraus(
+            [_parse_matrix(m, f"'{name}' kraus[{k}]", scn.dim) for k, m in enumerate(defn["kraus"])]
+        )
     if "tensor" in defn:
-        m = _parse_matrix(defn["tensor"], f"'{name}' tensor")
-        if m.shape != (scn.dim**2, scn.dim**2):
-            raise ValidationError(f"'{name}' tensor: expected {scn.dim**2}x{scn.dim**2}")
-        return Superoperator(scn.dim, m)
+        return Superoperator(scn.dim, _parse_matrix(defn["tensor"], f"'{name}' tensor", scn.dim**2))
     builder = defn.get("builder")
     if builder not in BUILDERS:
         raise ValidationError(f"'{name}': unknown builder {builder!r}; expected one of {BUILDERS}")
@@ -147,9 +144,7 @@ def _build_operation(scn: Scenario, name: str, defn: dict, tol: float) -> Supero
         if isinstance(ref, str):
             m = _lookup(scn.matrices, "matrix", ref, f"'{name}': ")
         else:
-            m = _parse_matrix(ref, f"'{name}' of")
-        if m.shape != (scn.dim, scn.dim):
-            raise ValidationError(f"'{name}': matrix must be {scn.dim}x{scn.dim}")
+            m = _parse_matrix(ref, f"'{name}' of", scn.dim)
         make = superop.projecting if builder == "projector" else superop.unitary
         return make(m, tol)
     # builder == "sum"
@@ -192,10 +187,7 @@ def parse_scenario(text: str, tol: float = DEFAULT_TOL) -> Scenario:
         if not isinstance(defn, dict):
             raise ValidationError(f"'{name}': definition must be an object")
         if "matrix" in defn:
-            m = _parse_matrix(defn["matrix"], f"'{name}' matrix")
-            if m.shape != (dim, dim):
-                raise ValidationError(f"'{name}': matrix must be {dim}x{dim}")
-            scn.matrices[name] = m
+            scn.matrices[name] = _parse_matrix(defn["matrix"], f"'{name}' matrix", dim)
         elif "outcomes" in defn:
             outcomes = defn["outcomes"]
             if not isinstance(outcomes, dict) or not outcomes:
@@ -392,7 +384,10 @@ def cmd_run(scn: Scenario, args, tol: float) -> dict:
             raise ValidationError(f"task {k}: tasks may not nest 'run'")
         if task["command"] not in COMMANDS:
             raise ValidationError(f"task {k}: unknown command {task['command']!r}")
-        argv = [task["command"], *[str(x) for x in task.get("args", [])]]
+        task_args = task.get("args", [])
+        if not isinstance(task_args, list):
+            raise ValidationError(f"task {k}: 'args' must be a list, got {task_args!r}")
+        argv = [task["command"], *[str(x) for x in task_args]]
         sub = _parse_task(args.parser, argv, k)
         # The root options are not accepted after a subcommand, so a task
         # always takes --seed and --trials from the parent command line.
@@ -464,8 +459,9 @@ def _command_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("state", help="inferred input/output density matrix")
     p.add_argument("name", nargs="?", default=None)
-    p.add_argument("--prior", action="store_true")
-    p.add_argument("--posterior", action="store_true")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--prior", action="store_true")
+    group.add_argument("--posterior", action="store_true")
     p.add_argument("--instrument", default=None)
     p.add_argument("--event", default=None, help="comma-separated outcome labels")
 

@@ -43,9 +43,11 @@ class Instrument:
     _summed: dict = field(default_factory=dict, init=False, repr=False)
 
     def op(self, label: str) -> Superoperator:
+        """The component at ``label``; the one outcome-label check of the
+        package, so a missing or unhashable label is a :class:`ValidationError`."""
         try:
             return self.ops[label]
-        except KeyError:
+        except (KeyError, TypeError):
             raise ValidationError(f"instrument '{self.name}' has no outcome '{label}'") from None
 
 
@@ -85,14 +87,17 @@ def product(i: Instrument, j: Instrument, tol: float = DEFAULT_TOL) -> Instrumen
 
 
 def _event_labels(i: Instrument, event) -> tuple:
-    """The labels of ``event``, a collection of outcome labels; a bare string
-    is a :class:`ValidationError`, not a collection of its characters."""
+    """The labels of ``event``, a collection of outcome labels, each checked
+    by :meth:`Instrument.op`; a bare string or a non-iterable is a
+    :class:`ValidationError`, and a string is not a collection of its characters."""
     if isinstance(event, str):
         raise ValidationError(f"event must be a collection of outcome labels, got the string {event!r}")
-    labels = tuple(event)
-    unknown = [x for x in labels if x not in i.ops]
-    if unknown:
-        raise ValidationError(f"instrument '{i.name}' has no outcomes {unknown}")
+    try:
+        labels = tuple(event)
+    except TypeError:
+        raise ValidationError(f"event must be a collection of outcome labels, got {event!r}") from None
+    for label in labels:
+        i.op(label)
     return labels
 
 

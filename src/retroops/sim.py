@@ -92,12 +92,12 @@ class FreqReport:
     std_err: float
 
 
-def _as_state(prior, dim: int) -> np.ndarray:
+def _as_state(prior, dim: int, tol: float) -> np.ndarray:
     """The prior's matrix; ``None`` is the maximally mixed state, and a raw
-    matrix must pass :class:`DensityMatrix` validation."""
+    matrix must pass :class:`DensityMatrix` validation at ``tol``."""
     if prior is None:
         return np.eye(dim, dtype=complex) / dim
-    m = (prior if isinstance(prior, DensityMatrix) else DensityMatrix(prior)).matrix
+    m = (prior if isinstance(prior, DensityMatrix) else DensityMatrix(prior, tol)).matrix
     if m.shape != (dim, dim):
         raise DimensionMismatch(f"prior state has shape {m.shape}, expected ({dim}, {dim})")
     return m
@@ -161,14 +161,14 @@ def exact_sequence_probability(instruments, outcomes_at, prior=None, tol: float 
 
     ``outcomes_at`` maps step indices to outcome labels; unspecified steps
     are marginalised by using the instrument's summed (trivial) operation.
-    The trace is returned as a probability at ``tol``: rounding within
-    ``tol`` of 0 or 1 is clamped, anything farther out raises
-    :class:`InvariantViolation`.
+    A raw ``prior`` is checked at ``tol``.  The trace is returned as a
+    probability at ``tol``: rounding within ``tol`` of 0 or 1 is clamped,
+    anything farther out raises :class:`InvariantViolation`.
     """
     dim = _check_uniform_dim(instruments)
     for step in outcomes_at:
         _check_step(instruments, step)
-    rho = _as_state(prior, dim)
+    rho = _as_state(prior, dim, tol)
     for s, inst in enumerate(instruments):
         if s in outcomes_at:
             op = inst.op(outcomes_at[s])
@@ -178,15 +178,8 @@ def exact_sequence_probability(instruments, outcomes_at, prior=None, tol: float 
     return _as_probability(complex(np.trace(rho)), tol)
 
 
-def _sampler_setup(instruments, prior) -> tuple:
-    """The sampler's per-call work: the prior as a ``(1, d, d)`` state stack,
-    and each step's :func:`_stack`."""
-    dim = _check_uniform_dim(instruments)
-    return _as_state(prior, dim)[None], [_stack(inst) for inst in instruments]
-
-
 def _sample_outcome_matrix(
-    instruments, prior, trials: int, gen: np.random.Generator, tol: float = DEFAULT_TOL, setup=None
+    instruments, prior, trials: int, gen: np.random.Generator, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
     """Vectorised sampler: outcome index per (trial, step), from the next
     ``trials * steps`` uniforms of ``gen``.
@@ -197,15 +190,13 @@ def _sample_outcome_matrix(
     checked on their weights.
     The uniforms and outcomes are held step by step (one contiguous row per
     step), and the outcomes are returned as the ``(trials, steps)`` view.
-    ``setup`` is :func:`_sampler_setup` of ``instruments`` and ``prior``, for
-    a caller that samples them chunk by chunk.
     """
-    states, stacks = _sampler_setup(instruments, prior) if setup is None else setup
+    states = _as_state(prior, _check_uniform_dim(instruments), tol)[None]
     u = gen.random((trials, len(instruments))).T.copy()
     node = np.zeros(trials, dtype=np.int64)
     outcomes = np.zeros((len(instruments), trials), dtype=np.int64)
-    for s, mats in enumerate(stacks):
-        probs, images = _branch_probs(mats, states)
+    for s, inst in enumerate(instruments):
+        probs, images = _branch_probs(_stack(inst), states)
         k_count = probs.shape[1]
         cum = probs.T.copy()
         for k in range(1, k_count):
@@ -264,8 +255,7 @@ def estimate(
             raise ValidationError(f"{what} must be a (step, outcome) pair, got {pair!r}")
         step, out = pair
         _check_step(instruments, step)
-        if out not in instruments[step].ops:
-            raise ValidationError(f"instrument '{instruments[step].name}' has no outcome '{out}'")
+        instruments[step].op(out)
     (c_step, c_out), (t_step, t_out) = condition, target
     if prior is not None and not isinstance(prior, DensityMatrix):
         prior = DensityMatrix(prior, tol)
@@ -281,10 +271,9 @@ def estimate(
 
     c_idx = instruments[c_step].outcomes.index(c_out)
     t_idx = instruments[t_step].outcomes.index(t_out)
-    setup = _sampler_setup(instruments, prior)
     hits = both = 0
     for start in range(0, trials, _CHUNK):
-        outcomes = _sample_outcome_matrix(instruments, prior, min(_CHUNK, trials - start), gen, tol, setup)
+        outcomes = _sample_outcome_matrix(instruments, prior, min(_CHUNK, trials - start), gen, tol)
         mask_c = outcomes[:, c_step] == c_idx
         hits += int(mask_c.sum())
         both += int((mask_c & (outcomes[:, t_step] == t_idx)).sum())

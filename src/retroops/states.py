@@ -84,16 +84,20 @@ class DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Effect:
-    """A Hermitian matrix between 0 and the identity in the Loewner order, tested on one spectrum."""
+    """A Hermitian matrix between 0 and the identity in the Loewner order,
+    stored as its Hermitian part.  Both bounds are tested on one spectrum,
+    whose :func:`hermitian_eig` call is also the shape, finiteness and
+    Hermitian check, at ``tol``."""
 
     matrix: np.ndarray
     tol: InitVar[float] = DEFAULT_TOL
 
     def __post_init__(self, tol):
-        m = _require_hermitian(as_matrix(self.matrix), tol, "effect")
+        m = np.asarray(self.matrix, dtype=complex)
         spectrum = hermitian_eig(m, tol)
         if not (_eig_psd(spectrum, tol) and _eig_psd(1.0 - spectrum[::-1], tol)):
             raise InvariantViolation("effect must satisfy 0 <= E <= I")
+        m = (m + m.conj().T) / 2.0
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

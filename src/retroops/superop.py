@@ -38,8 +38,8 @@ members' matrices, and the Bayes joints in :mod:`retroops.bayes` read an
 event weight from the raw product of two checked maps.
 
 All values are immutable after construction; every function is pure.
-Because a map never changes, :func:`classify`, the Choi spectrum it
-shares with :func:`is_cp`, and the Kraus factor it shares with
+Because a map never changes, :func:`classify`, the CP verdict it shares
+with :func:`is_cp`, and the Kraus factor it shares with
 :func:`extract_kraus` are computed once per (map, tolerance) and kept on
 the map.  :func:`event_weight`, and the identity's two images once an
 inferred state asks for them, take no tolerance and are kept once per
@@ -64,9 +64,7 @@ from .errors import (
     NotUnitary,
     ValidationError,
 )
-from .matcore import (
-    DEFAULT_TOL, _eig_psd, _is_int, _require_finite, _require_hermitian, as_matrix, hermitian_eig, is_psd,
-)
+from .matcore import DEFAULT_TOL, _is_int, _require_finite, _require_hermitian, as_matrix, is_psd
 
 __all__ = [
     "Superoperator",
@@ -301,10 +299,9 @@ def _psd(m: np.ndarray, tol: float) -> bool:
 
 def is_cp(a: Superoperator, tol: float = DEFAULT_TOL) -> bool:
     """Complete positivity: the Choi matrix (the reshuffled map) is Hermitian
-    positive semidefinite at ``tol``, read from the memoised Choi spectrum
-    that :func:`classify` shares."""
-    spectrum = _memoised(a, "choi_spectrum", tol, _choi_spectrum)
-    return spectrum is not None and _eig_psd(spectrum, tol)
+    positive semidefinite at ``tol``.  The verdict is memoised per (map,
+    tol), so :func:`classify` and :func:`extract_kraus` share it."""
+    return _memoised(a, "cp", tol, lambda a, tol: _psd(reshuffle(a).mat, tol))
 
 
 def _memoised(a: Superoperator, check: str, tol: float, compute):
@@ -313,17 +310,6 @@ def _memoised(a: Superoperator, check: str, tol: float, compute):
     if key not in a._memo:
         a._memo[key] = compute(a, tol)
     return a._memo[key]
-
-
-def _choi_spectrum(a: Superoperator, tol: float):
-    """Read-only ascending spectrum of the (hermitized) Choi matrix, or
-    ``None`` if the Choi matrix is not Hermitian within ``tol``."""
-    try:
-        spectrum = hermitian_eig(reshuffle(a).mat, tol)
-    except NotHermitian:
-        return None
-    spectrum.setflags(write=False)
-    return spectrum
 
 
 def _kraus_factor(a: Superoperator, tol: float) -> KrausSet:

@@ -373,3 +373,53 @@ def test_run_rejects_a_task_argparse_would_exit_on(tmp_path, task, message):
     assert proc.returncode == cli.EXIT_VALIDATION
     assert json.loads(proc.stdout) == {"error": "ValidationError", "message": message}
     assert proc.stderr == ""
+
+
+_THREE = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("defn,message", [
+    ({"k": {"kraus": [[[1, 0], [0, 1]], _THREE]}}, "'k' kraus[1]: expected a 2x2 nested array of rows"),
+    ({"t": {"tensor": _THREE}}, "'t' tensor: expected a 4x4 nested array of rows"),
+    ({"p": {"builder": "projector", "of": _THREE}}, "'p' of: expected a 2x2 nested array of rows"),
+    ({"u": {"builder": "unitary", "of": [[1, 0], [0]]}}, "'u' of: expected a 2x2 nested array of rows"),
+    ({"M": {"matrix": _THREE}}, "'M' matrix: expected a 2x2 nested array of rows"),
+    ({"k": {"kraus": 5}}, "'k': 'kraus' must be a list of matrices, got 5"),
+    ({"Z": {"outcomes": {"+": 5}}}, "'Z:+': definition must be an object"),
+], ids=["kraus", "tensor", "projector-of", "unitary-of", "matrix", "kraus-not-a-list", "inline-outcome"])
+def test_definitions_of_the_wrong_shape_exit_2(tmp_path, capsys, defn, message):
+    path = tmp_path / "side.json"
+    path.write_text(json.dumps({"dim": 2, "definitions": {"id": {"builder": "unit"}, **defn}}))
+    assert cli.main(["--scenario", str(path), "--json", "check", "id"]) == cli.EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().out) == {"error": "ValidationError", "message": message}
+
+
+def test_an_oversized_inline_matrix_builds_no_map(monkeypatch):
+    # The side is checked before any entry is parsed or any map built: a
+    # 300x300 projector at dim 2 would otherwise ask from_kraus for a
+    # 90,000 x 90,000 Choi matrix.
+    calls = []
+    monkeypatch.setattr(superop, "from_kraus", lambda *a, **k: calls.append(a))
+    big = np.eye(300).tolist()
+    with pytest.raises(ValidationError, match="'p' of: expected a 2x2 nested array of rows"):
+        cli.parse_scenario(json.dumps({"dim": 2, "definitions": {"p": {"builder": "projector", "of": big}}}))
+    assert calls == []
+
+
+def test_state_takes_one_direction(tmp_path, capsys):
+    argv = ["--scenario", QUBIT, "--json", "state", "pz+", "--prior", "--posterior"]
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == cli.EXIT_VALIDATION
+    assert "not allowed with argument" in capsys.readouterr().err
+    path = _scenario_with_tasks(tmp_path, [{"command": "state", "args": ["pz+", "--prior", "--posterior"]}])
+    assert cli.main(["--scenario", path, "--json", "run"]) == cli.EXIT_VALIDATION
+    assert "not allowed with argument" in json.loads(capsys.readouterr().out)["message"]
+
+
+def test_task_args_must_be_a_list(tmp_path, capsys):
+    path = _scenario_with_tasks(tmp_path, [{"command": "check", "args": 5}])
+    assert cli.main(["--scenario", path, "--json", "run"]) == cli.EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ValidationError", "message": "task 0: 'args' must be a list, got 5"
+    }

@@ -243,3 +243,48 @@ def test_a_string_event_is_not_a_collection_of_its_characters():
         with pytest.raises(ValidationError, match="event must be a collection of outcome labels"):
             call()
     assert r.p_inst(z, ["+", "-"]) == 1.0
+
+
+#: Entry points that take one outcome label of the qubit Z instrument.
+_LABEL_CALLS = {
+    "op": lambda z, label: z.op(label),
+    "estimate-condition": lambda z, label: r.estimate([z], (0, label), (0, "+"), trials=10),
+    "estimate-target": lambda z, label: r.estimate([z], (0, "+"), (0, label), trials=10),
+    "exact_sequence_probability": lambda z, label: r.exact_sequence_probability([z], {0: label}),
+}
+
+#: Entry points that take an event, a collection of outcome labels.
+_EVENT_CALLS = {
+    "summed": lambda z, event: r.summed(z, event),
+    "p_inst": lambda z, event: r.p_inst(z, event),
+    "p_inst_pred": lambda z, event: r.p_inst_pred(z, event, z.op("+")),
+    "p_inst_retro": lambda z, event: r.p_inst_retro(z, event, z.op("+")),
+    "p_cond_pred-first": lambda z, event: r.p_cond_pred(z, z, event, ["+"]),
+    "p_cond_pred-second": lambda z, event: r.p_cond_pred(z, z, ["+"], event),
+    "p_cond_retro-first": lambda z, event: r.p_cond_retro(z, z, event, ["+"]),
+    "p_cond_retro-second": lambda z, event: r.p_cond_retro(z, z, ["+"], event),
+    "state_of_instrument": lambda z, event: r.state_of_instrument(z, event),
+}
+
+#: Kind of bad input -> (as a label, its message, as an event, its message).
+_BAD_INPUTS = {
+    "unknown": ("0", "instrument 'Z' has no outcome '0'", ["+", "0"], "instrument 'Z' has no outcome '0'"),
+    "unhashable": (["+"], r"instrument 'Z' has no outcome '\['\+'\]'",
+                   [["+"]], r"instrument 'Z' has no outcome '\['\+'\]'"),
+    "non-iterable": (5, "instrument 'Z' has no outcome '5'", 5, "event must be a collection of outcome labels, got 5"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_BAD_INPUTS))
+@pytest.mark.parametrize("entry", list(_LABEL_CALLS) + list(_EVENT_CALLS))
+def test_outcome_labels_are_checked_by_instrument_op(entry, kind):
+    # Every label reaches the instrument through Instrument.op, so a missing,
+    # unhashable or non-iterable input is a ValidationError, never a bare
+    # TypeError from a lookup or an iteration.
+    label, label_message, event, event_message = _BAD_INPUTS[kind]
+    if entry in _LABEL_CALLS:
+        call, bad, message = _LABEL_CALLS[entry], label, label_message
+    else:
+        call, bad, message = _EVENT_CALLS[entry], event, event_message
+    with pytest.raises(ValidationError, match=message):
+        call(z_instrument(), bad)

@@ -308,6 +308,20 @@ def test_estimate_checks_its_prior_at_its_tol():
         r.estimate([x], condition=(0, "+"), target=(0, "+"), trials=100, prior=prior)
 
 
+def test_exact_sequence_probability_checks_its_prior_at_its_tol():
+    # Trace 1 + 1e-8 is a state's trace within tol / 10 at tol=1e-6, not at
+    # the default; the exact value and the sampler agree with estimate.
+    z = z_instrument()
+    prior = np.diag([0.5 + 5e-9, 0.5 + 5e-9]).astype(complex)
+    assert r.exact_sequence_probability([z], {0: "+"}, prior=prior, tol=1e-6) == pytest.approx(0.5)
+    assert r.estimate([z], (0, "+"), (0, "+"), trials=100, prior=prior, tol=1e-6).exact == 1.0
+    with pytest.raises(InvariantViolation):
+        r.exact_sequence_probability([z], {0: "+"}, prior=prior)
+    with pytest.raises(InvariantViolation):
+        sim._sample_outcome_matrix([z], prior, 10, philox(1))
+    assert sim._sample_outcome_matrix([z], prior, 10, philox(1), tol=1e-6).shape == (10, 1)
+
+
 def _chunk_runs(monkeypatch, run, trials):
     """``run()`` once per chunk size 1, 7, the default and ``trials``: its
     result, or the type and message of the error it raised."""

@@ -2,7 +2,7 @@
 
 A value derived exactly from checked maps (a rearrangement, a Bayes joint,
 a resolution sum) is not checked again, and gives the bits of the checked
-formula.  ``classify``, the Choi spectrum it shares with ``is_cp`` and the Kraus
+formula.  ``classify``, the CP verdict it shares with ``is_cp`` and the Kraus
 factor it shares with ``extract_kraus`` are memoised on the map per
 tolerance, ``event_weight`` is memoised per map, and ``summed`` returns one
 map per (instrument, event).  Eigensolves are counted by wrapping
@@ -95,15 +95,21 @@ def test_first_check_eigensolves_once_per_map(eig_calls):
     assert len(eig_calls) == first
 
 
-def test_effect_tests_both_bounds_on_one_spectrum(eig_calls):
+def test_effect_tests_both_bounds_on_one_spectrum(eig_calls, monkeypatch):
+    # The one eigensolve is also the effect's one Hermitian check.
+    hermitian_checks = _count_calls(monkeypatch, matcore, "_require_hermitian")
     for m, ok in ((np.eye(3) * 0.3, True), (np.diag([0.0, 1.0]), True), (np.eye(2) * 1.5, False), (-np.eye(2), False)):
         eig_calls.clear()
+        hermitian_checks.clear()
         if ok:
             r.Effect(m)
         else:
             with pytest.raises(r.InvariantViolation):
                 r.Effect(m)
         assert len(eig_calls) == 1
+        assert len(hermitian_checks) == 1
+    with pytest.raises(r.NotHermitian, match="^matrix deviates from Hermitian"):
+        r.Effect([[0.5, 0.1], [0.0, 0.5]])
 
 
 def test_state_command_eigensolves_the_inferred_state_once(eig_calls):
@@ -195,10 +201,9 @@ def test_map_and_cached_spectrum_are_read_only():
     a = rand_operation(rng(306), 2)
     cls = r.classify(a)
     assert cls.operation
-    spectrum = a._memo["choi_spectrum", matcore.DEFAULT_TOL]
     ks = r.extract_kraus(a)
     assert ks is r.extract_kraus(a)
-    for arr in (a.mat, spectrum) + ks.ops:
+    for arr in (a.mat,) + ks.ops:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
