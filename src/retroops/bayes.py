@@ -16,19 +16,12 @@ p_retro(adjoint(a), adjoint(b))`` and symmetrically.
 
 from __future__ import annotations
 
+from collections.abc import Collection
+
 from .errors import InvariantViolation, NotResolution, ValidationError, ZeroCondition
 from .matcore import DEFAULT_TOL, _as_probability, _is_int
 from .superop import Superoperator, _composed_weight, _require_operation, _require_trivial_sum, adjoint, event_weight
 
-__all__ = [
-    "p_pred",
-    "p_retro",
-    "p_prior",
-    "bayes_retrodict",
-    "bayes_predict",
-    "time_reverse",
-    "MAX_RESOLUTION_SIZE",
-]
 
 #: Bayes formulas are only valid for finite resolutions; reject absurd sizes.
 MAX_RESOLUTION_SIZE = 10_000
@@ -74,6 +67,8 @@ def p_prior(a: Superoperator, tol: float = DEFAULT_TOL, check: bool = True) -> f
 
 
 def _check_resolution(a_list, tol: float) -> None:
+    if not isinstance(a_list, Collection):
+        raise ValidationError(f"resolution must be a collection of operations, got {type(a_list).__name__}")
     if not a_list:
         raise NotResolution("resolution must be nonempty")
     if len(a_list) > MAX_RESOLUTION_SIZE:

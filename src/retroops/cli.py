@@ -128,7 +128,7 @@ def _build_operation(scn: Scenario, name: str, defn: dict, tol: float) -> Supero
         if not isinstance(defn["kraus"], list):
             raise ValidationError(f"'{name}': 'kraus' must be a list of matrices, got {defn['kraus']!r}")
         return superop.from_kraus(
-            [_parse_matrix(m, f"'{name}' kraus[{k}]", scn.dim) for k, m in enumerate(defn["kraus"])]
+            [_parse_matrix(m, f"'{name}' kraus[{k}]", scn.dim) for k, m in enumerate(defn["kraus"])], dim=scn.dim
         )
     if "tensor" in defn:
         return Superoperator(scn.dim, _parse_matrix(defn["tensor"], f"'{name}' tensor", scn.dim**2))
@@ -378,8 +378,8 @@ def cmd_run(scn: Scenario, args, tol: float) -> dict:
     """Run the scenario's tasks, parsing each with the parser ``main`` built."""
     reports = []
     for k, task in enumerate(scn.tasks):
-        if not isinstance(task, dict) or "command" not in task:
-            raise ValidationError(f"task {k}: expected an object with a 'command' field")
+        if not isinstance(task, dict) or not isinstance(task.get("command"), str):
+            raise ValidationError(f"task {k}: expected an object with a string 'command' field")
         if task["command"] == "run":
             raise ValidationError(f"task {k}: tasks may not nest 'run'")
         if task["command"] not in COMMANDS:

@@ -8,27 +8,15 @@ probability measure on subsets of the outcome set.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import reduce
 from types import MappingProxyType
 
 from .errors import NotTrivialSum, ValidationError
 from .matcore import DEFAULT_TOL
-from .superop import SUM_TOL, Superoperator, _common_dim, _require_operation, _require_trivial_sum, add, compose, zero
+from .superop import Superoperator, _common_dim, _require_operation, _require_trivial_sum, add, compose, zero
 from . import bayes
-
-__all__ = [
-    "Instrument",
-    "SUM_TOL",
-    "make_instrument",
-    "product",
-    "summed",
-    "p_inst_pred",
-    "p_inst_retro",
-    "p_inst",
-    "p_cond_pred",
-    "p_cond_retro",
-]
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,8 +48,8 @@ def make_instrument(ops, name: str = "", tol: float = DEFAULT_TOL) -> Instrument
     resolution; otherwise :class:`NotOperation` or :class:`NotTrivialSum` is
     raised.
     """
-    if not ops:
-        raise ValidationError(f"instrument '{name}': outcome map must be nonempty")
+    if not (isinstance(ops, Mapping) and ops):
+        raise ValidationError(f"instrument '{name}': outcomes must be a nonempty mapping of labels to operations")
     labels = tuple(ops)
     dim = _common_dim(ops.values(), f"instrument '{name}': components")
     for label in labels:

@@ -42,6 +42,7 @@ whole-matrix draw would, and results are bit-identical for any chunk size.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,6 @@ from .superop import _common_dim, apply
 from .instrument import Instrument, summed
 from .states import DensityMatrix
 
-__all__ = ["Trajectory", "FreqReport", "sample_sequence", "estimate", "exact_sequence_probability"]
 
 #: Rounding floor for a selected branch's probability, not a tolerance.
 _ZERO_BRANCH = 1e-15
@@ -104,6 +104,10 @@ def _as_state(prior, dim: int, tol: float) -> np.ndarray:
 
 
 def _check_uniform_dim(instruments) -> int:
+    """The one ``dim`` of ``instruments``, which must be a nonempty sequence
+    of :class:`Instrument` steps; anything else is a :class:`ValidationError`."""
+    if not (isinstance(instruments, Sequence) and all(isinstance(i, Instrument) for i in instruments)):
+        raise ValidationError(f"instrument steps must be a sequence of instruments, got {type(instruments).__name__}")
     if not instruments:
         raise ValidationError("at least one instrument step is required")
     return _common_dim(instruments, "instrument steps")
@@ -166,6 +170,8 @@ def exact_sequence_probability(instruments, outcomes_at, prior=None, tol: float 
     anything farther out raises :class:`InvariantViolation`.
     """
     dim = _check_uniform_dim(instruments)
+    if not isinstance(outcomes_at, Mapping):
+        raise ValidationError(f"outcomes_at must map step indices to outcome labels, got {type(outcomes_at).__name__}")
     for step in outcomes_at:
         _check_step(instruments, step)
     rho = _as_state(prior, dim, tol)
@@ -250,6 +256,7 @@ def estimate(
     if not (_is_int(trials) and trials >= 1):
         raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
     gen = _generator(seed)
+    _check_uniform_dim(instruments)
     for what, pair in (("condition", condition), ("target", target)):
         if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
             raise ValidationError(f"{what} must be a (step, outcome) pair, got {pair!r}")

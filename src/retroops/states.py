@@ -38,16 +38,6 @@ from .matcore import DEFAULT_TOL, _eig_psd, _require_hermitian, _same_dim, as_ma
 from .superop import Superoperator, _identity_images, _require_operation
 from . import instrument as _instr
 
-__all__ = [
-    "DensityMatrix",
-    "Effect",
-    "state_prior",
-    "state_posterior",
-    "state_of_instrument",
-    "effects_of",
-    "expect",
-]
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:

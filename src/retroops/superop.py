@@ -66,31 +66,6 @@ from .errors import (
 )
 from .matcore import DEFAULT_TOL, _is_int, _require_finite, _require_hermitian, as_matrix, is_psd
 
-__all__ = [
-    "Superoperator",
-    "KrausSet",
-    "OperationClass",
-    "from_tensor",
-    "from_kraus",
-    "apply",
-    "compose",
-    "conjugate_map",
-    "adjoint",
-    "reshuffle",
-    "hs_trace",
-    "event_weight",
-    "is_positive",
-    "is_cp",
-    "extract_kraus",
-    "classify",
-    "unit",
-    "zero",
-    "projecting",
-    "unitary",
-    "unitary_inv",
-    "add",
-    "scale",
-]
 
 #: The trivial-sum bound ``10 * tol`` of a resolution at the default tolerance.
 SUM_TOL = 10 * DEFAULT_TOL
@@ -182,7 +157,11 @@ def from_tensor(mat, dim: int | None = None) -> Superoperator:
 
 def from_kraus(ops, dim: int | None = None) -> Superoperator:
     """Build ``A -> sum_k M_k A M_k*`` from a list of Kraus matrices."""
-    mats = [np.asarray(m, dtype=complex) for m in ops]
+    try:
+        items = iter(ops)
+    except TypeError:
+        raise ValidationError(f"Kraus matrices must be an iterable of matrices, got {type(ops).__name__}") from None
+    mats = [np.asarray(m, dtype=complex) for m in items]
     if not mats:
         if dim is None:
             raise DimensionMismatch("empty Kraus list needs an explicit dimension")

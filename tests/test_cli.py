@@ -353,11 +353,14 @@ def test_run_builds_the_parser_once(monkeypatch, capsys):
     {"command": "--json", "args": ["run"]},
     {"command": "--seed", "args": ["5", "check", "pz+"]},
     {"command": "nope"},
+    {"command": ["check"], "args": ["id"]},
 ])
 def test_run_rejects_a_task_that_is_not_a_subcommand(tmp_path, capsys, task):
     path = _scenario_with_tasks(tmp_path, [task])
     assert cli.main(["--scenario", path, "--json", "run"]) == cli.EXIT_VALIDATION
-    assert json.loads(capsys.readouterr().out)["error"] == "ValidationError"
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "ValidationError"
+    assert report["message"].startswith("task 0: ")
 
 
 @pytest.mark.parametrize("task,message", [
@@ -423,3 +426,12 @@ def test_task_args_must_be_a_list(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {
         "error": "ValidationError", "message": "task 0: 'args' must be a list, got 5"
     }
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_an_empty_kraus_list_is_the_zero_map_at_the_scenario_dim(dim):
+    doc = {"dim": dim, "definitions": {"none": {"kraus": []}, "nil": {"builder": "zero"}}}
+    scn = cli.parse_scenario(json.dumps(doc))
+    none = scn.operation("none")
+    assert none.dim == dim
+    assert np.array_equal(none.mat, scn.operation("nil").mat)

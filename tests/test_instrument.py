@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import retroops as r
-from retroops.instrument import SUM_TOL
+from retroops.superop import SUM_TOL
 from retroops.errors import (
     DimensionMismatch,
     NotOperation,

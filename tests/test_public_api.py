@@ -1,0 +1,91 @@
+"""The package's public names, and the typed errors for inputs of the wrong container type."""
+
+import types
+
+import pytest
+
+import retroops as r
+from retroops import bayes, cli, superop
+from retroops.errors import ValidationError
+
+from helpers import PZM, PZP, z_instrument
+
+#: Every public name of the package root, imported by ``retroops/__init__.py``.
+PUBLIC_NAMES = {
+    "DEFAULT_TOL", "DensityMatrix", "DimensionMismatch", "Effect", "FreqReport", "Instrument",
+    "InvariantViolation", "KrausSet", "NoConditionHits", "NotCP", "NotHermitian", "NotOperation",
+    "NotProjector", "NotResolution", "NotTrivialSum", "NotUnitary", "OperationClass", "ParseError",
+    "RetroOpsError", "Superoperator", "Trajectory", "ValidationError", "ZeroCondition",
+    "ZeroProbabilityBranch", "add", "adjoint", "apply", "as_matrix", "bayes_predict", "bayes_retrodict",
+    "classify", "compose", "conjugate_map", "effects_of", "estimate", "event_weight",
+    "exact_sequence_probability", "expect", "extract_kraus", "from_kraus", "from_tensor", "hermitian_eig",
+    "hs_inner", "hs_trace", "is_cp", "is_positive", "is_psd", "loewner_leq", "make_instrument",
+    "normalized_trace", "op_norm", "p_cond_pred", "p_cond_retro", "p_inst", "p_inst_pred", "p_inst_retro",
+    "p_pred", "p_prior", "p_retro", "product", "projecting", "reshuffle", "sample_sequence", "scale",
+    "state_of_instrument", "state_posterior", "state_prior", "summed", "time_reverse", "trace", "unit",
+    "unitary", "unitary_inv", "zero",
+}
+
+
+def test_the_root_exports_exactly_the_public_names():
+    exported = {
+        name for name, value in vars(r).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(PUBLIC_NAMES) == 74
+    assert exported == PUBLIC_NAMES
+    # The limits and tolerance tiers are read from the modules that define them.
+    assert superop.SUM_TOL == 10 * r.DEFAULT_TOL
+    assert bayes.MAX_RESOLUTION_SIZE == 10_000
+    assert isinstance(cli.MAX_SCENARIO_DIM, int)
+    assert not any(hasattr(m, "__all__") for m in vars(r).values() if isinstance(m, types.ModuleType))
+
+
+#: Public calls given a container of the wrong type -> the message they raise.
+_WRONG_CONTAINERS = {
+    "from_kraus-int": (lambda z: r.from_kraus(5), "Kraus matrices must be an iterable of matrices, got int"),
+    "exact_sequence_probability-outcomes-int": (
+        lambda z: r.exact_sequence_probability([z], 5), "outcomes_at must map step indices to outcome labels, got int"
+    ),
+    "exact_sequence_probability-bare-instrument": (
+        lambda z: r.exact_sequence_probability(z, {0: "+"}), "instrument steps must be a sequence of instruments"
+    ),
+    "sample_sequence-bare-instrument": (
+        lambda z: r.sample_sequence(z), "instrument steps must be a sequence of instruments"
+    ),
+    "estimate-bare-instrument": (
+        lambda z: r.estimate(z, (0, "+"), (0, "+"), 10), "instrument steps must be a sequence of instruments"
+    ),
+    "estimate-operation-steps": (
+        lambda z: r.estimate([z.op("+")], (0, "+"), (0, "+"), 10), "instrument steps must be a sequence of instruments"
+    ),
+    "make_instrument-list": (
+        lambda z: r.make_instrument([r.projecting(PZP), r.projecting(PZM)]),
+        "outcomes must be a nonempty mapping of labels to operations",
+    ),
+    "make_instrument-int": (
+        lambda z: r.make_instrument(5), "outcomes must be a nonempty mapping of labels to operations"
+    ),
+    "bayes_retrodict-int": (
+        lambda z: r.bayes_retrodict(5, z.op("+"), 0), "resolution must be a collection of operations, got int"
+    ),
+    "bayes_predict-int": (
+        lambda z: r.bayes_predict(5, z.op("+"), 0), "resolution must be a collection of operations, got int"
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(_WRONG_CONTAINERS))
+def test_a_container_of_the_wrong_type_is_a_validation_error(call):
+    # Each input is checked where it enters, so a wrong container is a
+    # ValidationError, never a bare TypeError or AttributeError.
+    run, message = _WRONG_CONTAINERS[call]
+    with pytest.raises(ValidationError, match=message):
+        run(z_instrument())
+
+
+def test_the_right_containers_still_work():
+    z = z_instrument()
+    assert r.exact_sequence_probability((z, z), {1: "+"}) == 0.5
+    assert r.bayes_retrodict({"+": z.op("+"), "-": z.op("-")}.values(), z.op("+"), 0) == 1.0
+    assert r.from_kraus(iter([PZP, PZM])).dim == 2
