@@ -64,7 +64,7 @@ def product(i: Instrument, j: Instrument, tol: float = DEFAULT_TOL) -> Instrumen
     The component at ``"x,y"`` is ``compose(i.op(x), j.op(y))`` -- ``j`` acts
     first, ``i`` second -- and the result revalidates as an instrument.
     """
-    _common_dim((i, j), "instruments")
+    _common_dim((i, j), "instruments", Instrument)
     ops = {
         f"{x},{y}": compose(i.op(x), j.op(y))
         for x in i.outcomes

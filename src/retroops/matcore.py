@@ -32,10 +32,19 @@ DEFAULT_TOL = 1e-9
 def as_matrix(entries) -> np.ndarray:
     """Coerce ``entries`` to a square complex matrix; the one finiteness test,
     so a non-finite or overflowed entry is a :class:`ValidationError`."""
-    m = np.asarray(entries, dtype=complex)
+    m = _complex_array(entries)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     return _require_finite(m)
+
+
+def _complex_array(entries) -> np.ndarray:
+    """``entries`` as a complex array: the one coercion of caller input, so a
+    non-numeric, ragged or too large entry is a :class:`ValidationError`."""
+    try:
+        return np.asarray(entries, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError("matrix entries must be numbers in a rectangular array") from None
 
 
 def _require_finite(m: np.ndarray) -> np.ndarray:

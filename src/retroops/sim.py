@@ -26,23 +26,29 @@ row; the rows never decrease, so this equals the capped count over all
 the same row of a gemm, so a lone node is computed as row 0 of a two-row
 product: a node's images never depend on how many nodes share its step.
 
-Trials with one outcome history share a node of the history tree.
-:func:`estimate` samples its trials in chunks of at most ``_CHUNK`` and keeps
-only the running counts, so its memory is O(chunk * steps) for any trial
-count.  Within a chunk only occupied nodes are kept, renumbered in history
-order after each step, so a step handles at most ``min(chunk, K**s)`` nodes
-in one batch and node ids stay below ``chunk * K``.
+Trials with one outcome history share a node of the history tree.  The
+sampler yields its trials in chunks of at most ``_CHUNK``, and
+:func:`estimate` keeps only the running counts, so its memory is
+O(chunk * steps) for any trial count.  Within a chunk only occupied nodes
+are kept, renumbered in history order after each step, so a step handles at
+most ``min(chunk, K**s)`` nodes in one batch and node ids stay below
+``chunk * K``.
 
 Randomness comes from a Philox counter-based generator keyed by the 64-bit
 seed.  The uniform variate consumed by trial ``t`` at step ``s`` sits at
 flat counter position ``t * steps + s``; consecutive draws from one
 generator continue that stream, so the chunks read exactly the uniforms one
 whole-matrix draw would, and results are bit-identical for any chunk size.
+
+Each public call checks its inputs once, where they enter: one entry check
+of the steps and the prior gives the start state, and one check per
+(step, outcome label) pair gives the outcome index.  The exact forward loop
+and the sampler then work on these checked values and check nothing again.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,9 +98,17 @@ class FreqReport:
     std_err: float
 
 
-def _as_state(prior, dim: int, tol: float) -> np.ndarray:
-    """The prior's matrix; ``None`` is the maximally mixed state, and a raw
-    matrix must pass :class:`DensityMatrix` validation at ``tol``."""
+def _start(instruments, prior, tol: float) -> np.ndarray:
+    """The one entry check of a run: the start state's matrix, for steps
+    ``instruments`` that must be a nonempty sequence of :class:`Instrument`
+    steps of one ``dim``, else :class:`ValidationError` or
+    :class:`DimensionMismatch`.  ``prior`` ``None`` is the maximally mixed
+    state, and a raw matrix must pass :class:`DensityMatrix` validation at ``tol``."""
+    if not (isinstance(instruments, Sequence) and all(isinstance(i, Instrument) for i in instruments)):
+        raise ValidationError(f"instrument steps must be a sequence of instruments, got {type(instruments).__name__}")
+    if not instruments:
+        raise ValidationError("at least one instrument step is required")
+    dim = _common_dim(instruments, "instrument steps", Instrument)
     if prior is None:
         return np.eye(dim, dtype=complex) / dim
     m = (prior if isinstance(prior, DensityMatrix) else DensityMatrix(prior, tol)).matrix
@@ -103,14 +117,14 @@ def _as_state(prior, dim: int, tol: float) -> np.ndarray:
     return m
 
 
-def _check_uniform_dim(instruments) -> int:
-    """The one ``dim`` of ``instruments``, which must be a nonempty sequence
-    of :class:`Instrument` steps; anything else is a :class:`ValidationError`."""
-    if not (isinstance(instruments, Sequence) and all(isinstance(i, Instrument) for i in instruments)):
-        raise ValidationError(f"instrument steps must be a sequence of instruments, got {type(instruments).__name__}")
-    if not instruments:
-        raise ValidationError("at least one instrument step is required")
-    return _common_dim(instruments, "instrument steps")
+def _outcome(instruments, step, label) -> int:
+    """The index of outcome ``label`` at ``step``: :class:`ValidationError`
+    unless ``step`` is an integer step index of ``instruments`` and
+    :meth:`Instrument.op` finds ``label`` there."""
+    if not (_is_int(step) and 0 <= step < len(instruments)):
+        raise ValidationError(f"step index {step!r} out of range")
+    instruments[step].op(label)
+    return instruments[step].outcomes.index(label)
 
 
 def _stack(inst: Instrument) -> np.ndarray:
@@ -149,15 +163,10 @@ def _generator(seed) -> np.random.Generator:
 
 
 def sample_sequence(instruments, prior=None, rng_seed: int = 0) -> Trajectory:
-    """Sample one trajectory: the one-trial case of the outcome-matrix sampler."""
-    row = _sample_outcome_matrix(instruments, prior, 1, _generator(rng_seed))[0]
+    """Sample one trajectory: the first row of the sampler's one-trial chunk."""
+    gen = _generator(rng_seed)
+    row = next(_sample_chunks(instruments, _start(instruments, prior, DEFAULT_TOL), 1, gen, DEFAULT_TOL))[0]
     return Trajectory(rng_seed, tuple((i.name, i.outcomes[k]) for i, k in zip(instruments, row)))
-
-
-def _check_step(instruments, step) -> None:
-    """:class:`ValidationError` unless ``step`` is an integer step index of ``instruments``."""
-    if not (_is_int(step) and 0 <= step < len(instruments)):
-        raise ValidationError(f"step index {step!r} out of range")
 
 
 def exact_sequence_probability(instruments, outcomes_at, prior=None, tol: float = DEFAULT_TOL) -> float:
@@ -169,24 +178,33 @@ def exact_sequence_probability(instruments, outcomes_at, prior=None, tol: float 
     probability at ``tol``: rounding within ``tol`` of 0 or 1 is clamped,
     anything farther out raises :class:`InvariantViolation`.
     """
-    dim = _check_uniform_dim(instruments)
+    rho = _start(instruments, prior, tol)
     if not isinstance(outcomes_at, Mapping):
         raise ValidationError(f"outcomes_at must map step indices to outcome labels, got {type(outcomes_at).__name__}")
-    for step in outcomes_at:
-        _check_step(instruments, step)
-    rho = _as_state(prior, dim, tol)
+    return _forward(instruments, {s: _outcome(instruments, s, out) for s, out in outcomes_at.items()}, rho, tol)
+
+
+def _forward(instruments, fixed: dict, rho: np.ndarray, tol: float) -> float:
+    """Exact probability that each step ``s`` in ``fixed`` gives the outcome
+    of index ``fixed[s]``, from the start state ``rho``; the other steps are
+    marginalised by their summed (trivial) operation.  Takes checked values
+    (see :func:`_start` and :func:`_outcome`) and checks nothing again."""
     for s, inst in enumerate(instruments):
-        if s in outcomes_at:
-            op = inst.op(outcomes_at[s])
-        else:
-            op = summed(inst, inst.outcomes)
+        op = inst.ops[inst.outcomes[fixed[s]]] if s in fixed else summed(inst, inst.outcomes)
         rho = apply(op, rho)
     return _as_probability(complex(np.trace(rho)), tol)
 
 
-def _sample_outcome_matrix(
-    instruments, prior, trials: int, gen: np.random.Generator, tol: float = DEFAULT_TOL
-) -> np.ndarray:
+def _sample_chunks(instruments, rho: np.ndarray, trials: int, gen: np.random.Generator, tol: float) -> Iterator:
+    """The sampler over checked steps from the checked start state ``rho``:
+    yields the outcome matrices of the ``trials`` in order, in chunks of at
+    most ``_CHUNK`` trials.  Each chunk is sampled by one call, so its arrays
+    are freed before the next chunk is drawn."""
+    for start in range(0, trials, _CHUNK):
+        yield _sample_chunk(instruments, rho, min(_CHUNK, trials - start), gen, tol)
+
+
+def _sample_chunk(instruments, rho: np.ndarray, trials: int, gen: np.random.Generator, tol: float) -> np.ndarray:
     """Vectorised sampler: outcome index per (trial, step), from the next
     ``trials * steps`` uniforms of ``gen``.
 
@@ -197,7 +215,7 @@ def _sample_outcome_matrix(
     The uniforms and outcomes are held step by step (one contiguous row per
     step), and the outcomes are returned as the ``(trials, steps)`` view.
     """
-    states = _as_state(prior, _check_uniform_dim(instruments), tol)[None]
+    states = rho[None]
     u = gen.random((trials, len(instruments))).T.copy()
     node = np.zeros(trials, dtype=np.int64)
     outcomes = np.zeros((len(instruments), trials), dtype=np.int64)
@@ -247,40 +265,35 @@ def estimate(
     according to the temporal order of the two steps).  Deterministic for a
     fixed seed.  A raw ``prior`` is checked at ``tol``, branch sums at ``tol / 10``.
 
-    Trials are sampled ``_CHUNK`` at a time from one generator and only the
-    counts are kept.  A failing run stops in the first chunk that meets a
-    failure, so where trials fail in different ways (different branch sums,
-    or a zero branch in one and a bad sum in another) the error reported
-    can depend on the chunk size.
+    The inputs are checked once, up front; the exact values and the sampler
+    then work on the checked steps, outcome indices and start state.  Only
+    the counts of the chunks the sampler yields are kept.  A failing run
+    stops in the first chunk that meets a failure, so where trials fail in
+    different ways (different branch sums, or a zero branch in one and a bad
+    sum in another) the error reported can depend on the chunk size.
     """
     if not (_is_int(trials) and trials >= 1):
         raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
     gen = _generator(seed)
-    _check_uniform_dim(instruments)
+    rho = _start(instruments, prior, tol)
+    fixed = []
     for what, pair in (("condition", condition), ("target", target)):
         if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
             raise ValidationError(f"{what} must be a (step, outcome) pair, got {pair!r}")
-        step, out = pair
-        _check_step(instruments, step)
-        instruments[step].op(out)
-    (c_step, c_out), (t_step, t_out) = condition, target
-    if prior is not None and not isinstance(prior, DensityMatrix):
-        prior = DensityMatrix(prior, tol)
+        fixed.append((pair[0], _outcome(instruments, *pair)))
+    (c_step, c_idx), (t_step, t_idx) = fixed
 
-    p_cond = exact_sequence_probability(instruments, {c_step: c_out}, prior, tol)
+    p_cond = _forward(instruments, {c_step: c_idx}, rho, tol)
     if p_cond <= tol:
         raise ZeroCondition("conditioning outcome has zero exact probability")
-    if c_step == t_step and c_out != t_out:
+    if c_step == t_step and c_idx != t_idx:
         p_joint = 0.0
     else:
-        p_joint = exact_sequence_probability(instruments, {c_step: c_out, t_step: t_out}, prior, tol)
+        p_joint = _forward(instruments, {c_step: c_idx, t_step: t_idx}, rho, tol)
     exact = _as_probability(complex(p_joint / p_cond), tol)
 
-    c_idx = instruments[c_step].outcomes.index(c_out)
-    t_idx = instruments[t_step].outcomes.index(t_out)
     hits = both = 0
-    for start in range(0, trials, _CHUNK):
-        outcomes = _sample_outcome_matrix(instruments, prior, min(_CHUNK, trials - start), gen, tol)
+    for outcomes in _sample_chunks(instruments, rho, trials, gen, tol):
         mask_c = outcomes[:, c_step] == c_idx
         hits += int(mask_c.sum())
         both += int((mask_c & (outcomes[:, t_step] == t_idx)).sum())

@@ -34,7 +34,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation, NotHermitian, ValidationError, ZeroCondition
-from .matcore import DEFAULT_TOL, _eig_psd, _require_hermitian, _same_dim, as_matrix, hermitian_eig
+from .matcore import DEFAULT_TOL, _complex_array, _eig_psd, _require_hermitian, _same_dim, as_matrix, hermitian_eig
 from .superop import Superoperator, _identity_images, _require_operation
 from . import instrument as _instr
 
@@ -51,7 +51,7 @@ class DensityMatrix:
     spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, tol):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = _complex_array(self.matrix)
         try:
             spectrum = hermitian_eig(m, tol / 10)
         except NotHermitian:
@@ -83,7 +83,7 @@ class Effect:
     tol: InitVar[float] = DEFAULT_TOL
 
     def __post_init__(self, tol):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = _complex_array(self.matrix)
         spectrum = hermitian_eig(m, tol)
         if not (_eig_psd(spectrum, tol) and _eig_psd(1.0 - spectrum[::-1], tol)):
             raise InvariantViolation("effect must satisfy 0 <= E <= I")

@@ -29,10 +29,13 @@ symmetrically for the reversed composition.
 Every value is checked once, where it enters.  The constructors that take
 numbers from a caller check them: ``Superoperator`` (and through it
 ``from_tensor``, ``compose``, ``add`` and ``scale``) and ``from_kraus``
-require finite entries of the right shape.  The three involutions build
-their result without a second check, because each one only moves,
-conjugates or transposes the entries of a checked matrix, exactly: the
-result is finite and of the same shape.  For the same reason the
+require finite entries of the right shape.  A value that is not a
+:class:`Superoperator` where a map enters is rejected by the memo every
+map query reads or by the dimension check every combination makes, as a
+:class:`ValidationError`.  The three involutions build their result
+without a second check, because each one only moves, conjugates or
+transposes the entries of a checked matrix, exactly: the result is finite
+and of the same shape.  For the same reason the
 trivial-sum check reads the identity's images from the raw sum of the
 members' matrices, and the Bayes joints in :mod:`retroops.bayes` read an
 event weight from the raw product of two checked maps.
@@ -49,8 +52,10 @@ store equal results.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 from functools import reduce
+from numbers import Real
 
 import numpy as np
 
@@ -64,7 +69,7 @@ from .errors import (
     NotUnitary,
     ValidationError,
 )
-from .matcore import DEFAULT_TOL, _is_int, _require_finite, _require_hermitian, as_matrix, is_psd
+from .matcore import DEFAULT_TOL, _complex_array, _is_int, _require_finite, _require_hermitian, as_matrix, is_psd
 
 
 #: The trivial-sum bound ``10 * tol`` of a resolution at the default tolerance.
@@ -146,7 +151,7 @@ class OperationClass:
 
 def from_tensor(mat, dim: int | None = None) -> Superoperator:
     """Build a superoperator from its ``dim^2 x dim^2`` matrix."""
-    m = np.asarray(mat, dtype=complex)
+    m = _complex_array(mat)
     if dim is None:
         d = int(round(np.sqrt(m.shape[0]))) if m.ndim == 2 else 0
         if m.ndim != 2 or d * d != m.shape[0]:
@@ -161,7 +166,7 @@ def from_kraus(ops, dim: int | None = None) -> Superoperator:
         items = iter(ops)
     except TypeError:
         raise ValidationError(f"Kraus matrices must be an iterable of matrices, got {type(ops).__name__}") from None
-    mats = [np.asarray(m, dtype=complex) for m in items]
+    mats = [_complex_array(m) for m in items]
     if not mats:
         if dim is None:
             raise DimensionMismatch("empty Kraus list needs an explicit dimension")
@@ -183,9 +188,13 @@ def from_kraus(ops, dim: int | None = None) -> Superoperator:
     return Superoperator(d, choi.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d))
 
 
-def _common_dim(values, what: str) -> int:
-    """The one ``dim`` of a nonempty family of maps or instruments, or
+def _common_dim(values, what: str, kind: type = Superoperator) -> int:
+    """The one ``dim`` of a nonempty family of ``kind`` values (maps, or
+    instruments); :class:`ValidationError` for a value of another type and
     :class:`DimensionMismatch` naming ``what`` and the dims found."""
+    for v in values:
+        if not isinstance(v, kind):
+            raise ValidationError(f"{what} must be {kind.__name__} values, got {type(v).__name__}")
     dims = {v.dim for v in values}
     if len(dims) != 1:
         raise DimensionMismatch(f"{what} have mixed dims {sorted(dims)}")
@@ -284,7 +293,11 @@ def is_cp(a: Superoperator, tol: float = DEFAULT_TOL) -> bool:
 
 
 def _memoised(a: Superoperator, check: str, tol: float, compute):
-    """``compute(a, tol)``, evaluated once per (map, check, tol) and kept on ``a``."""
+    """``compute(a, tol)``, evaluated once per (map, check, tol) and kept on
+    ``a``; the check every memoised query shares, so a value that is not a
+    :class:`Superoperator` is a :class:`ValidationError` here."""
+    if not isinstance(a, Superoperator):
+        raise ValidationError(f"expected a Superoperator, got {type(a).__name__}")
     key = (check, tol)
     if key not in a._memo:
         a._memo[key] = compute(a, tol)
@@ -449,11 +462,12 @@ def add(a: Superoperator, b: Superoperator) -> Superoperator:
 
 
 def scale(a: Superoperator, c: float) -> Superoperator:
-    """Scale by a nonnegative real factor.
+    """Scale by a factor ``c``, a finite real number ``>= 0``; any other
+    factor is a :class:`ValidationError`.
 
     Factors in ``[0, 1]`` keep operations inside the operation class; larger
     factors can leave it.
     """
-    if c < 0:
-        raise ValidationError("scale factor must be nonnegative")
+    if not (isinstance(c, Real) and 0 <= c <= sys.float_info.max):
+        raise ValidationError(f"scale factor must be a finite real number >= 0, got {c!r}")
     return Superoperator(a.dim, c * a.mat)

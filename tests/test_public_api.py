@@ -1,7 +1,8 @@
-"""The package's public names, and the typed errors for inputs of the wrong container type."""
+"""The package's public names, and the typed errors for inputs of the wrong container or value type."""
 
 import types
 
+import numpy as np
 import pytest
 
 import retroops as r
@@ -89,3 +90,63 @@ def test_the_right_containers_still_work():
     assert r.exact_sequence_probability((z, z), {1: "+"}) == 0.5
     assert r.bayes_retrodict({"+": z.op("+"), "-": z.op("-")}.values(), z.op("+"), 0) == 1.0
     assert r.from_kraus(iter([PZP, PZM])).dim == 2
+
+
+#: Public calls given a value of the wrong kind where a map, a numeric matrix
+#: entry or a scale factor is expected -> the message they raise.
+_WRONG_VALUES = {
+    **{
+        f"{name}-not-a-map": (run, "Superoperator")
+        for name, run in {
+            "classify": lambda z: r.classify(5),
+            "event_weight": lambda z: r.event_weight(5),
+            "extract_kraus": lambda z: r.extract_kraus(5),
+            "p_pred": lambda z: r.p_pred(5, r.unit(2)),
+            "p_inst_pred": lambda z: r.p_inst_pred(z, ["+"], 5),
+            "time_reverse": lambda z: r.time_reverse(5),
+            "state_prior": lambda z: r.state_prior(5),
+            "effects_of": lambda z: r.effects_of(5),
+            "bayes_retrodict": lambda z: r.bayes_retrodict([5], r.unit(2), 0),
+            "make_instrument": lambda z: r.make_instrument({"a": 5}),
+            "compose": lambda z: r.compose(r.unit(2), 5),
+            "add": lambda z: r.add(z.op("+"), 5),
+        }.items()
+    },
+    **{
+        f"{name}-entries": (run, "matrix entries must be numbers in a rectangular array")
+        for name, run in {
+            "as_matrix-string": lambda z: r.as_matrix([["a"]]),
+            "as_matrix-ragged": lambda z: r.as_matrix([[1, 2], [3]]),
+            "as_matrix-object": lambda z: r.as_matrix([[object()]]),
+            "as_matrix-huge-int": lambda z: r.as_matrix([[10**400]]),
+            "from_kraus": lambda z: r.from_kraus([[["a"]]]),
+            "from_tensor": lambda z: r.from_tensor([["a"]]),
+            "DensityMatrix": lambda z: r.DensityMatrix([["a"]]),
+            "Effect": lambda z: r.Effect([["a"]]),
+            "loewner_leq": lambda z: r.loewner_leq([["a"]], [[1]]),
+        }.items()
+    },
+    **{
+        f"scale-{name}": ((lambda c: lambda z: r.scale(z.op("+"), c))(c), "scale factor must be a finite real number >= 0")
+        for name, c in {
+            "string": "x", "none": None, "complex": 1j, "nan": float("nan"), "inf": float("inf"),
+            "negative": -1.0, "huge-int": 10**400,
+        }.items()
+    },
+}
+
+
+@pytest.mark.parametrize("call", list(_WRONG_VALUES))
+def test_a_value_of_the_wrong_kind_is_a_validation_error(call):
+    # A non-map where a map enters, a non-numeric or ragged matrix entry and a
+    # scale factor that is not a finite real >= 0 are each a ValidationError,
+    # never a bare AttributeError, TypeError, ValueError or RuntimeWarning.
+    run, message = _WRONG_VALUES[call]
+    with pytest.raises(ValidationError, match=message):
+        run(z_instrument())
+
+
+def test_a_finite_real_scale_factor_still_works():
+    pz = z_instrument().op("+")
+    for c, want in ((0, 0.0), (np.float64(0.5), 0.5), (2, 2.0), (np.int64(3), 3.0)):
+        assert r.scale(pz, c).mat[0, 0] == want

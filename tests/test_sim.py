@@ -26,6 +26,12 @@ from helpers import (
 )
 
 
+def _outcome_matrix(insts, prior, trials, gen, tol=r.DEFAULT_TOL):
+    """The outcome index per (trial, step): the sampler's chunks from the
+    start state that the simulator's entry check gives, stacked in order."""
+    return np.concatenate(list(sim._sample_chunks(insts, sim._start(insts, prior, tol), trials, gen, tol)))
+
+
 def test_sample_sequence_deterministic():
     z, x = z_instrument(), x_instrument()
     t1 = r.sample_sequence([z, x, z], rng_seed=42)
@@ -97,8 +103,6 @@ def test_estimate_agrees_with_scalar_sampler():
     # Every trial row of the vectorised outcome matrix is the trajectory the
     # one-state-at-a-time reference draws from that row's Philox uniforms,
     # and sample_sequence is its first row.
-    from retroops.sim import _sample_outcome_matrix
-
     # The d = 4 unsharp instrument has K = 4 outcomes, and the gapped one a
     # zero-weight component, whose cumulative weight ties its predecessor's.
     gen = rng(90)
@@ -119,7 +123,7 @@ def test_estimate_agrees_with_scalar_sampler():
         ):
             for prior in (None, mixed, np.outer(u[:, 0], u[:, 0].conj())):
                 seed = int(gen.integers(2**32))
-                outcomes = _sample_outcome_matrix(insts, prior, 200, philox(seed))
+                outcomes = _outcome_matrix(insts, prior, 200, philox(seed))
                 rho = np.eye(n, dtype=complex) / n if prior is None else prior
                 for t in range(200):
                     want = scalar_outcomes(insts, rho, philox_row(seed, t, len(insts)))
@@ -143,8 +147,6 @@ class _Uniforms:
 def test_selection_at_exact_ties():
     # Outcome k is taken when cum[k-1] <= u < cum[k]: a uniform equal to a
     # cumulative weight goes to the later outcome, as in the scalar reference.
-    from retroops.sim import _sample_outcome_matrix
-
     lead_zero = r.make_instrument({"a": r.zero(2), "b": r.unit(2)}, name="lead-zero")
     z = z_instrument()
     half = np.nextafter(0.5, 0.0)
@@ -153,7 +155,7 @@ def test_selection_at_exact_ties():
         ([lead_zero], [[0.0]], [[1]]),
         ([z], [[0.0], [half], [0.5], [np.nextafter(1.0, 0.0)]], [[0], [0], [1], [1]]),
     ):
-        outcomes = _sample_outcome_matrix(insts, None, len(u), _Uniforms(u))
+        outcomes = _outcome_matrix(insts, None, len(u), _Uniforms(u))
         assert outcomes.tolist() == want
         assert [scalar_outcomes(insts, rho, row) for row in u] == want
 
@@ -161,15 +163,13 @@ def test_selection_at_exact_ties():
 def test_deep_sequence_occupied_nodes_only():
     # 70 alternating Z/X steps have 2**70 histories, more than int64 node
     # ids can number, of which at most the 2000 trials' are occupied.
-    from retroops.sim import _sample_outcome_matrix
-
     z, x = z_instrument(), x_instrument()
     insts = [z, x] * 35
     rep = r.estimate(insts, condition=(69, "+"), target=(0, "+"), trials=2000, seed=8)
     assert rep.exact == 0.5
     assert rep.abs_err < 5.0 * rep.std_err
-    a = _sample_outcome_matrix(insts, None, 2000, philox(8))
-    assert np.array_equal(a, _sample_outcome_matrix(insts, None, 2000, philox(8)))
+    a = _outcome_matrix(insts, None, 2000, philox(8))
+    assert np.array_equal(a, _outcome_matrix(insts, None, 2000, philox(8)))
     for t in (0, 1, 999, 1999):
         assert a[t].tolist() == scalar_outcomes(insts, np.eye(2) / 2, philox_row(8, t, 70))
 
@@ -263,11 +263,9 @@ def test_empirical_frequency_three_steps():
 def test_std_err_belongs_to_condition_hits():
     # The frequency is both/hits, so its standard error divides by hits,
     # not by trials; the report carries hits as its sample size.
-    from retroops.sim import _sample_outcome_matrix
-
     z, x = z_instrument(), x_instrument()
     rep = r.estimate([z, x], condition=(1, "+"), target=(0, "+"), trials=3000, seed=4)
-    outcomes = _sample_outcome_matrix([z, x], None, 3000, philox(4))
+    outcomes = _outcome_matrix([z, x], None, 3000, philox(4))
     assert rep.hits == int((outcomes[:, 1] == 0).sum())
     assert 0 < rep.hits < rep.trials
     assert rep.std_err == float(np.sqrt(rep.exact * (1.0 - rep.exact) / rep.hits))
@@ -318,8 +316,8 @@ def test_exact_sequence_probability_checks_its_prior_at_its_tol():
     with pytest.raises(InvariantViolation):
         r.exact_sequence_probability([z], {0: "+"}, prior=prior)
     with pytest.raises(InvariantViolation):
-        sim._sample_outcome_matrix([z], prior, 10, philox(1))
-    assert sim._sample_outcome_matrix([z], prior, 10, philox(1), tol=1e-6).shape == (10, 1)
+        _outcome_matrix([z], prior, 10, philox(1))
+    assert _outcome_matrix([z], prior, 10, philox(1), tol=1e-6).shape == (10, 1)
 
 
 def _chunk_runs(monkeypatch, run, trials):
@@ -444,15 +442,13 @@ def test_branch_probs_do_not_depend_on_batch_size():
 
 def test_scalar_sampler_agreement_at_larger_dims():
     # K = d outcomes at d = 5..8, and K = 8 outcomes of a qubit instrument.
-    from retroops.sim import _sample_outcome_matrix
-
     gen = rng(95)
     for n, k in ((5, 5), (6, 6), (7, 7), (8, 8), (2, 8)):
         sharp = r.make_instrument({str(j): op for j, op in enumerate(luders_resolution(gen, n))}, name=f"L{n}")
         unsharp = unsharp_instrument(gen, n, k)
         insts = [unsharp, sharp, unsharp]
         seed = int(gen.integers(2**32))
-        outcomes = _sample_outcome_matrix(insts, None, 200, philox(seed))
+        outcomes = _outcome_matrix(insts, None, 200, philox(seed))
         rho = np.eye(n, dtype=complex) / n
         for t in range(200):
             assert outcomes[t].tolist() == scalar_outcomes(insts, rho, philox_row(seed, t, len(insts)))

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import retroops as r
-from retroops import cli, matcore, superop
+from retroops import cli, matcore, sim, superop
 
 from helpers import (
     PZP,
@@ -350,3 +350,26 @@ def test_event_weights_are_computed_once_per_map(monkeypatch):
         assert sorted(map(id, computed)) == sorted(map(id, [a, b] + res))
         for m in [a, b] + res:
             assert r.event_weight(m) == complex(np.einsum("bbaa->", m.tensor))
+
+
+def test_each_simulator_call_checks_its_steps_and_prior_once(monkeypatch, eig_calls):
+    # 40,000 trials are sampled in more than one chunk, and estimate computes
+    # two exact values; the steps and the prior are still checked once per
+    # call, by the one entry check, and a raw prior is diagonalised once.
+    entry = _count_calls(monkeypatch, sim, "_start")
+    dims = _count_calls(monkeypatch, superop, "_common_dim")
+    steps = [z_instrument(), x_instrument()] * 8
+    assert 40_000 > sim._CHUNK
+    for prior in (None, PZP):
+        calls = (
+            lambda: r.estimate(steps, (15, "+"), (0, "+"), 40_000, seed=1, prior=prior),
+            lambda: r.exact_sequence_probability(steps, {15: "+", 0: "+"}, prior=prior),
+            lambda: r.sample_sequence(steps, prior, rng_seed=1),
+        )
+        for run in calls:
+            for counter in (entry, dims, eig_calls):
+                counter.clear()
+            run()
+            assert len(entry) == 1
+            assert [v for v in dims if v is steps] == [steps]
+            assert len(eig_calls) == (prior is not None)
