@@ -26,6 +26,11 @@ it is invisible to all composition statistics; this is equivalent to
 ``event_weight(b)`` for every operation ``b`` iff ``adjoint(a)(I) = I``, and
 symmetrically for the reversed composition.
 
+Both predicates read one pair ``(adjoint(a)(I), a(I))``, read-only: each
+image has one Loewner bound ``img <= I`` and one deviation ``|img - I|``
+(its largest entry, formed on the diagonal of a copy).  The same deviation
+rule reads the pair of a resolution's raw sum in the trivial-sum check.
+
 Every value is checked once, where it enters.  The constructors that take
 numbers from a caller check them: ``Superoperator`` (and through it
 ``from_tensor``, ``compose``, ``add`` and ``scale``) and ``from_kraus``
@@ -352,46 +357,45 @@ def classify(a: Superoperator, tol: float = DEFAULT_TOL) -> OperationClass:
 def _effect_pair(dim: int, m: np.ndarray) -> tuple:
     """``(adjoint(a)(I), a(I))`` of the map ``a`` with storage matrix ``m``,
     which are ``(sum M_k* M_k, sum M_k M_k*)`` for Kraus matrices ``M_k``;
-    computed as ``apply(adjoint(a), I)`` and ``apply(a, I)`` compute them."""
+    computed as ``apply(adjoint(a), I)`` and ``apply(a, I)`` compute them,
+    and read-only."""
     eye = np.eye(dim, dtype=complex).ravel()
-    return (np.conjugate(m.T, order="C") @ eye).reshape(dim, dim), (m @ eye).reshape(dim, dim)
+    pair = (np.conjugate(m.T, order="C") @ eye).reshape(dim, dim), (m @ eye).reshape(dim, dim)
+    for img in pair:
+        img.setflags(write=False)
+    return pair
 
 
 def _identity_images(a: Superoperator) -> tuple:
-    """:func:`_effect_pair` of the map ``a``, read-only, computed on the first
-    call and kept on the map.  Only the inferred states and effects read it,
-    so a map that is only classified or queried for probabilities keeps none."""
-    return _memoised(a, "identity_images", None, _read_only_effect_pair)
+    """:func:`_effect_pair` of the map ``a``, computed on the first call and
+    kept on the map.  Only the inferred states and effects read it, so a map
+    that is only classified or queried for probabilities keeps none."""
+    return _memoised(a, "identity_images", None, lambda a, _tol: _effect_pair(a.dim, a.mat))
 
 
-def _read_only_effect_pair(a: Superoperator, _tol) -> tuple:
-    pair = _effect_pair(a.dim, a.mat)
-    for m in pair:
-        m.setflags(write=False)
-    return pair
+def _deviation(img: np.ndarray) -> float:
+    """``|img - I|``, the largest entry: the one deviation rule for an image
+    of the identity.  ``img - I`` is formed on the diagonal of a copy, with
+    no identity matrix."""
+    dev = img.copy()
+    dev.flat[:: len(dev) + 1] -= 1.0
+    return float(np.abs(dev).max())
 
 
 def _classify(a: Superoperator, tol: float) -> OperationClass:
     eye = np.eye(a.dim)
-    positive = is_positive(a, tol)
-    cp = is_cp(a, tol)
-    in_img, out_img = _effect_pair(a.dim, a.mat)
-    sub_unital = _psd(eye - out_img, tol)
-    sub_tracial = _psd(eye - in_img, tol)
-    operation = cp and sub_unital and sub_tracial
+    positive, cp = is_positive(a, tol), is_cp(a, tol)
+    pair = _effect_pair(a.dim, a.mat)
+    sub_tracial, sub_unital = bounds = [_psd(eye - img, tol) for img in pair]
+    operation = cp and all(bounds)
     if cp:
-        ks = extract_kraus(a, tol)
-        s_in, s_out = _effect_pair(a.dim, from_kraus(ks.ops, dim=a.dim).mat)
-        via_kraus = _psd(eye - s_out, tol) and _psd(eye - s_in, tol)
-        if via_kraus != (sub_unital and sub_tracial):
+        kraus_pair = _effect_pair(a.dim, from_kraus(extract_kraus(a, tol).ops, dim=a.dim).mat)
+        # a(I) first, so a map that fails its bound stops after one eigensolve.
+        if all(_psd(eye - img, tol) for img in reversed(kraus_pair)) != all(bounds):
             raise InvariantViolation(
                 "operation predicate disagrees between the Loewner route and the Kraus-sum route"
             )
-    trivial = (
-        operation
-        and float(np.abs(out_img - eye).max()) <= tol
-        and float(np.abs(in_img - eye).max()) <= tol
-    )
+    trivial = operation and all(_deviation(img) <= tol for img in pair)
     return OperationClass(positive, cp, sub_unital, sub_tracial, operation, trivial)
 
 
@@ -406,16 +410,11 @@ def _require_trivial_sum(ops, tol: float, error, what: str) -> None:
 
     The one trivial-sum check, shared by Bayes resolutions and instruments.
     The members are checked maps of one dim, so their matrices are summed
-    raw, in :func:`add`'s order.  Each image is fresh, so ``image - I`` is
-    formed in place on its diagonal, with no identity matrix.
+    raw, in :func:`add`'s order, and each image's deviation is read by the
+    rule :func:`classify` applies to a map's own images.
     """
     d = _common_dim(ops, "superoperators")
-    total = reduce(np.add, (a.mat for a in ops))
-    devs = []
-    for img in _effect_pair(d, total):
-        img.flat[:: d + 1] -= 1.0
-        devs.append(float(np.abs(img).max()))
-    dev_in, dev_out = devs
+    dev_in, dev_out = map(_deviation, _effect_pair(d, reduce(np.add, (a.mat for a in ops))))
     if max(dev_out, dev_in) > 10 * tol:
         raise error(f"{what}; |sum(I) - I| = {dev_out:.3e}, |adjoint(sum)(I) - I| = {dev_in:.3e}")
 

@@ -8,6 +8,7 @@ from retroops.superop import SUM_TOL
 from retroops.errors import (
     DimensionMismatch,
     NotOperation,
+    NotResolution,
     NotTrivialSum,
     ValidationError,
     ZeroCondition,
@@ -44,6 +45,18 @@ def test_make_instrument_rejects_nontrivial_sum():
         r.make_instrument({"a": r.projecting(PZP)})
     with pytest.raises(NotTrivialSum):
         r.make_instrument({"a": r.projecting(PZP), "b": r.projecting(PXP)})
+
+
+def test_nontrivial_sum_message_names_each_image():
+    # Full decay: {|0><0|, |0><1|} sums to a trace-preserving map that is not
+    # unital, sum(I) = 2|0><0|.  The message reports each image's own
+    # deviation, and time reversal swaps them.
+    decay = [r.from_kraus([np.array(k, dtype=complex)]) for k in ([[1, 0], [0, 0]], [[0, 1], [0, 0]])]
+    devs = r"\|sum\(I\) - I\| = {}, \|adjoint\(sum\)\(I\) - I\| = {}$"
+    with pytest.raises(NotTrivialSum, match=devs.format(r"1\.000e\+00", r"0\.000e\+00")):
+        r.make_instrument({"0": decay[0], "1": decay[1]})
+    with pytest.raises(NotResolution, match=devs.format(r"0\.000e\+00", r"1\.000e\+00")):
+        r.bayes_retrodict([r.adjoint(a) for a in decay], r.unit(2), 0)
 
 
 def test_make_instrument_rejects_empty_and_mixed_dims():
