@@ -328,13 +328,17 @@ def cmd_reverse(scn: Scenario, args, tol: float) -> dict:
 def cmd_state(scn: Scenario, args, tol: float) -> dict:
     direction = "posterior" if args.posterior else "prior"
     if args.instrument is not None:
+        if args.name is not None:
+            raise ValidationError("state takes an operation name or --instrument, not both")
         inst = scn.instrument(args.instrument)
-        event = args.event.split(",") if args.event else list(inst.outcomes)
+        event = args.event.split(",") if args.event is not None else list(inst.outcomes)
         rho = states.state_of_instrument(inst, event, direction, tol)
         source = {"instrument": args.instrument, "event": event}
     else:
         if args.name is None:
             raise ValidationError("state needs an operation name or --instrument")
+        if args.event is not None:
+            raise ValidationError("--event needs --instrument")
         rho = (states.state_prior if direction == "prior" else states.state_posterior)(
             scn.operation(args.name), tol
         )

@@ -15,7 +15,9 @@ from types import MappingProxyType
 
 from .errors import NotTrivialSum, ValidationError
 from .matcore import DEFAULT_TOL
-from .superop import Superoperator, _common_dim, _require_operation, _require_trivial_sum, add, compose, zero
+from .superop import (
+    Superoperator, _common_dim, _require_kind, _require_operation, _require_trivial_sum, add, compose, zero
+)
 from . import bayes
 
 
@@ -75,9 +77,13 @@ def product(i: Instrument, j: Instrument, tol: float = DEFAULT_TOL) -> Instrumen
 
 
 def _event_labels(i: Instrument, event) -> tuple:
-    """The labels of ``event``, a collection of outcome labels, each checked
-    by :meth:`Instrument.op`; a bare string or a non-iterable is a
-    :class:`ValidationError`, and a string is not a collection of its characters."""
+    """The labels of ``event``, a collection of distinct outcome labels of
+    the instrument ``i``, each checked by :meth:`Instrument.op`.  A value
+    that is not an :class:`Instrument`, a bare string, a non-iterable or a
+    repeated label is a :class:`ValidationError`; a string is not a
+    collection of its characters, and an event is a set of outcomes, so a
+    label counts once."""
+    _require_kind(i, Instrument)
     if isinstance(event, str):
         raise ValidationError(f"event must be a collection of outcome labels, got the string {event!r}")
     try:
@@ -86,6 +92,9 @@ def _event_labels(i: Instrument, event) -> tuple:
         raise ValidationError(f"event must be a collection of outcome labels, got {event!r}") from None
     for label in labels:
         i.op(label)
+    if len(set(labels)) < len(labels):
+        repeated = next(x for x in labels if labels.count(x) > 1)
+        raise ValidationError(f"instrument '{i.name}': event repeats outcome '{repeated}'")
     return labels
 
 

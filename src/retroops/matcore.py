@@ -40,9 +40,13 @@ def as_matrix(entries) -> np.ndarray:
 
 def _complex_array(entries) -> np.ndarray:
     """``entries`` as a complex array: the one coercion of caller input, so a
-    non-numeric, ragged or too large entry is a :class:`ValidationError`."""
+    non-numeric, ragged or too large entry is a :class:`ValidationError`.
+    Strings and bytes are not numbers, even where numpy would parse them."""
     try:
-        return np.asarray(entries, dtype=complex)
+        m = np.asarray(entries)
+        if m.dtype.kind in "US":
+            raise TypeError
+        return np.asarray(m, dtype=complex)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError("matrix entries must be numbers in a rectangular array") from None
 

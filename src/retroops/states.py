@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InvariantViolation, NotHermitian, ValidationError, ZeroCondition
 from .matcore import DEFAULT_TOL, _complex_array, _eig_psd, _require_hermitian, _same_dim, as_matrix, hermitian_eig
-from .superop import Superoperator, _identity_images, _require_operation
+from .superop import Superoperator, _identity_images, _require_kind, _require_operation
 from . import instrument as _instr
 
 
@@ -140,7 +140,7 @@ def expect(rho: DensityMatrix, obs, tol: float = DEFAULT_TOL) -> float:
     :class:`InvariantViolation`); its Hermitian part is used, so the value is real.
     """
     obs = as_matrix(obs)
-    _same_dim(rho.matrix, obs)
+    _same_dim(_require_kind(rho, DensityMatrix).matrix, obs)
     try:
         obs = _require_hermitian(obs, tol, "observable")
     except NotHermitian as e:

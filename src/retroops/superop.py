@@ -35,9 +35,10 @@ Every value is checked once, where it enters.  The constructors that take
 numbers from a caller check them: ``Superoperator`` (and through it
 ``from_tensor``, ``compose``, ``add`` and ``scale``) and ``from_kraus``
 require finite entries of the right shape.  A value that is not a
-:class:`Superoperator` where a map enters is rejected by the memo every
-map query reads or by the dimension check every combination makes, as a
-:class:`ValidationError`.  The three involutions build their result
+:class:`Superoperator` where a map enters is rejected as a
+:class:`ValidationError` by one type check, ``_require_kind``, which the
+memo every map query reads also runs, or by the dimension check every
+combination makes.  The three involutions build their result
 without a second check, because each one only moves, conjugates or
 transposes the entries of a checked matrix, exactly: the result is finite
 and of the same shape.  For the same reason the
@@ -154,15 +155,14 @@ class OperationClass:
     trivial: bool
 
 
-def from_tensor(mat, dim: int | None = None) -> Superoperator:
-    """Build a superoperator from its ``dim^2 x dim^2`` matrix."""
+def from_tensor(mat) -> Superoperator:
+    """Build a superoperator from its ``dim^2 x dim^2`` matrix; ``dim`` is
+    read from the side."""
     m = _complex_array(mat)
-    if dim is None:
-        d = int(round(np.sqrt(m.shape[0]))) if m.ndim == 2 else 0
-        if m.ndim != 2 or d * d != m.shape[0]:
-            raise DimensionMismatch(f"matrix shape {m.shape} is not square with a perfect-square side")
-        dim = d
-    return Superoperator(dim, m)
+    d = int(round(np.sqrt(m.shape[0]))) if m.ndim == 2 else 0
+    if m.ndim != 2 or d * d != m.shape[0]:
+        raise DimensionMismatch(f"matrix shape {m.shape} is not square with a perfect-square side")
+    return Superoperator(d, m)
 
 
 def from_kraus(ops, dim: int | None = None) -> Superoperator:
@@ -208,6 +208,7 @@ def _common_dim(values, what: str, kind: type = Superoperator) -> int:
 
 def apply(a: Superoperator, m) -> np.ndarray:
     """Apply the map to a matrix."""
+    _require_kind(a)
     m = as_matrix(m)
     if m.shape[0] != a.dim:
         raise DimensionMismatch(f"matrix is {m.shape[0]}x{m.shape[0]}, map expects {a.dim}")
@@ -224,7 +225,7 @@ def conjugate_map(a: Superoperator) -> Superoperator:
 
     Maps with a Kraus form are exactly its fixed points.
     """
-    t = np.conjugate(a.tensor.transpose(1, 0, 3, 2), order="C")
+    t = np.conjugate(_require_kind(a).tensor.transpose(1, 0, 3, 2), order="C")
     return _rearranged(a.dim, t.reshape(a.mat.shape))
 
 
@@ -238,6 +239,7 @@ def adjoint(a: Superoperator) -> Superoperator:
     and index-permuted (same spectrum), and its images of the identity, like
     the two sums of its Kraus family ``{M_k*}``, are ``a``'s swapped.
     """
+    _require_kind(a)
     rev = _rearranged(a.dim, np.conjugate(a.mat.T, order="C"))
     for (check, tol), cls in list(a._memo.items()):
         if check == "classify":
@@ -247,13 +249,13 @@ def adjoint(a: Superoperator) -> Superoperator:
 
 def reshuffle(a: Superoperator) -> Superoperator:
     """Exchange the map's matrix with its Choi matrix (self-inverse)."""
-    t = a.tensor.transpose(0, 2, 1, 3)
+    t = _require_kind(a).tensor.transpose(0, 2, 1, 3)
     return _rearranged(a.dim, t.reshape(a.mat.shape))
 
 
 def hs_trace(a: Superoperator) -> complex:
     """Trace of the map as an operator on Hilbert-Schmidt space."""
-    return complex(np.trace(a.mat))
+    return complex(np.trace(_require_kind(a).mat))
 
 
 def event_weight(a: Superoperator) -> complex:
@@ -279,7 +281,7 @@ def is_positive(a: Superoperator, tol: float = DEFAULT_TOL) -> bool:
     ``adjoint`` is the adjoint for the trace inner product.  A non-Hermitian
     storage matrix yields ``False`` rather than an error.
     """
-    return _psd(a.mat, tol)
+    return _psd(_require_kind(a).mat, tol)
 
 
 def _psd(m: np.ndarray, tol: float) -> bool:
@@ -297,12 +299,18 @@ def is_cp(a: Superoperator, tol: float = DEFAULT_TOL) -> bool:
     return _memoised(a, "cp", tol, lambda a, tol: _psd(reshuffle(a).mat, tol))
 
 
+def _require_kind(value, kind: type = Superoperator):
+    """``value``, or :class:`ValidationError` unless it is a ``kind``: the one
+    type check where a map, an instrument or a state enters a call."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _memoised(a: Superoperator, check: str, tol: float, compute):
     """``compute(a, tol)``, evaluated once per (map, check, tol) and kept on
-    ``a``; the check every memoised query shares, so a value that is not a
-    :class:`Superoperator` is a :class:`ValidationError` here."""
-    if not isinstance(a, Superoperator):
-        raise ValidationError(f"expected a Superoperator, got {type(a).__name__}")
+    ``a``; every memoised query starts with :func:`_require_kind`."""
+    _require_kind(a)
     key = (check, tol)
     if key not in a._memo:
         a._memo[key] = compute(a, tol)
@@ -469,4 +477,4 @@ def scale(a: Superoperator, c: float) -> Superoperator:
     """
     if not (isinstance(c, Real) and 0 <= c <= sys.float_info.max):
         raise ValidationError(f"scale factor must be a finite real number >= 0, got {c!r}")
-    return Superoperator(a.dim, c * a.mat)
+    return Superoperator(_require_kind(a).dim, c * a.mat)

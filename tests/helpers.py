@@ -4,14 +4,20 @@ The package takes every spectrum from LAPACK ``eigvalsh``.  Tests that
 certify a spectrum or a spectral verdict use :func:`jacobi_eig`, an
 independent cyclic Jacobi eigensolver, so the package's ``eigvalsh`` is
 never certified by ``eigvalsh`` itself.  numpy's ``eigvalsh`` is used only
-to build test inputs.
+to build test inputs.  The golden CLI cases come from ``tools/goldens.py``,
+the one list that CI checks too.
 """
 
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 import retroops as r
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import goldens  # noqa: E402
 
 #: Off-diagonal Frobenius mass (relative to the input scale) at which the
 #: Jacobi sweep is considered converged.

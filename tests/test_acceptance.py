@@ -5,11 +5,9 @@ Each test prints exactly one ``criterion N: PASS``/``FAIL`` line (run with
 meaningful both interactively and under CI.
 """
 
-import json
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +18,7 @@ from helpers import (
     PXP,
     PZM,
     PZP,
+    goldens,
     oracle_eigvalsh,
     luders_resolution,
     qubit_ops,
@@ -35,8 +34,6 @@ from helpers import (
     x_instrument,
     z_instrument,
 )
-
-HERE = Path(__file__).parent
 
 
 def verdict(number, ok, detail):
@@ -272,50 +269,13 @@ def test_criterion_09_simulation_concordance():
 
 
 def test_criterion_10_cli_contract():
-    fixture = str(HERE / "fixtures" / "qubit.json")
-    offsum = str(HERE / "fixtures" / "offsum.json")
-    golden_dir = HERE / "golden"
-
-    def run(*args):
-        return subprocess.run(
-            [sys.executable, "-m", "retroops", *args], capture_output=True, text=True
-        )
-
-    ok = True
-    notes = []
-    cases = [
-        ("check_damp.json", 0, ["--scenario", fixture, "--json", "check", "damp"]),
-        ("prob_pred.json", 0, ["--scenario", fixture, "--json", "prob", "--pred", "px+", "pz+"]),
-        ("kraus_deph.json", 0, ["--scenario", fixture, "--json", "kraus", "deph"]),
-        (
-            "bayes_z_given_x.json",
-            0,
-            ["--scenario", fixture, "--json", "bayes", "pz+", "pz-", "--condition", "px+", "--index", "0"],
-        ),
-        ("state_prior_pz.json", 0, ["--scenario", fixture, "--json", "state", "pz+", "--prior"]),
-        ("reverse_py_vs_px.json", 0, ["--scenario", fixture, "--json", "reverse", "py+", "px+"]),
-        ("run_tasks.json", 0, ["--scenario", fixture, "--json", "run"]),
-        (
-            "simulate_zx.json",
-            0,
-            ["--scenario", fixture, "--json", "--seed", "7", "--trials", "20000",
-             "simulate", "--steps", "Z", "X", "--condition", "1:+", "--target", "0:+"],
-        ),
-        (
-            "error_offsum.json",
-            3,
-            ["--scenario", offsum, "--json", "simulate", "--steps", "Zoff",
-             "--condition", "0:+", "--target", "0:+"],
-        ),
-    ]
-    for name, want_code, args in cases:
-        proc = run(*args)
-        expected = json.loads((golden_dir / name).read_text())
-        if proc.returncode != want_code or json.loads(proc.stdout) != expected:
-            ok = False
-            notes.append(name)
-    proc = run("--scenario", "/nonexistent.json", "--json", "check", "x")
+    # Every golden command, byte for byte with its exit code, and a missing
+    # scenario file exits with the validation code.
+    notes = goldens.mismatches([sys.executable, "-m", "retroops"])
+    proc = subprocess.run(
+        [sys.executable, "-m", "retroops", "--scenario", "/nonexistent.json", "--json", "check", "x"],
+        capture_output=True, text=True,
+    )
     if proc.returncode != 2:
-        ok = False
         notes.append("missing-file exit code")
-    verdict(10, ok, "all commands match goldens" if ok else f"mismatches: {notes}")
+    verdict(10, not notes, "all commands match goldens" if not notes else f"mismatches: {notes}")

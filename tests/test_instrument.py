@@ -279,21 +279,30 @@ _EVENT_CALLS = {
     "state_of_instrument": lambda z, event: r.state_of_instrument(z, event),
 }
 
-#: Kind of bad input -> (as a label, its message, as an event, its message).
+#: Kind of bad input -> (as a label, its message, as an event, its message);
+#: a label cannot repeat, so that kind has no label form.
 _BAD_INPUTS = {
     "unknown": ("0", "instrument 'Z' has no outcome '0'", ["+", "0"], "instrument 'Z' has no outcome '0'"),
     "unhashable": (["+"], r"instrument 'Z' has no outcome '\['\+'\]'",
                    [["+"]], r"instrument 'Z' has no outcome '\['\+'\]'"),
     "non-iterable": (5, "instrument 'Z' has no outcome '5'", 5, "event must be a collection of outcome labels, got 5"),
+    "repeated": (None, None, ["-", "+", "-"], r"instrument 'Z': event repeats outcome '-'"),
 }
 
+_LABEL_CASES = [
+    (entry, kind)
+    for entry in list(_LABEL_CALLS) + list(_EVENT_CALLS)
+    for kind in _BAD_INPUTS
+    if entry in _EVENT_CALLS or _BAD_INPUTS[kind][0] is not None
+]
 
-@pytest.mark.parametrize("kind", list(_BAD_INPUTS))
-@pytest.mark.parametrize("entry", list(_LABEL_CALLS) + list(_EVENT_CALLS))
+
+@pytest.mark.parametrize("entry,kind", _LABEL_CASES, ids=[f"{e}-{k}" for e, k in _LABEL_CASES])
 def test_outcome_labels_are_checked_by_instrument_op(entry, kind):
     # Every label reaches the instrument through Instrument.op, so a missing,
     # unhashable or non-iterable input is a ValidationError, never a bare
-    # TypeError from a lookup or an iteration.
+    # TypeError from a lookup or an iteration; an event is a set, so a
+    # repeated label is one too, not counted twice.
     label, label_message, event, event_message = _BAD_INPUTS[kind]
     if entry in _LABEL_CALLS:
         call, bad, message = _LABEL_CALLS[entry], label, label_message

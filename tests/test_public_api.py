@@ -92,8 +92,9 @@ def test_the_right_containers_still_work():
     assert r.from_kraus(iter([PZP, PZM])).dim == 2
 
 
-#: Public calls given a value of the wrong kind where a map, a numeric matrix
-#: entry or a scale factor is expected -> the message they raise.
+#: Public calls given a value of the wrong kind where a map, an instrument, a
+#: state, a numeric matrix entry or a scale factor is expected -> the message
+#: they raise.
 _WRONG_VALUES = {
     **{
         f"{name}-not-a-map": (run, "Superoperator")
@@ -110,6 +111,23 @@ _WRONG_VALUES = {
             "make_instrument": lambda z: r.make_instrument({"a": 5}),
             "compose": lambda z: r.compose(r.unit(2), 5),
             "add": lambda z: r.add(z.op("+"), 5),
+            "adjoint": lambda z: r.adjoint(5),
+            "conjugate_map": lambda z: r.conjugate_map(5),
+            "reshuffle": lambda z: r.reshuffle(5),
+            "hs_trace": lambda z: r.hs_trace(5),
+            "is_positive": lambda z: r.is_positive(5),
+            "apply": lambda z: r.apply(5, np.eye(2)),
+            "scale": lambda z: r.scale(5, 1.0),
+        }.items()
+    },
+    "expect-not-a-state": (lambda z: r.expect(5, np.eye(2)), "expected DensityMatrix, got int"),
+    **{
+        f"{name}-not-an-instrument": (run, "expected Instrument, got int")
+        for name, run in {
+            "summed": lambda z: r.summed(5, ["+"]),
+            "p_inst": lambda z: r.p_inst(5, ["+"]),
+            "p_cond_pred": lambda z: r.p_cond_pred(z, 5, ["+"], ["+"]),
+            "state_of_instrument": lambda z: r.state_of_instrument(5, ["+"]),
         }.items()
     },
     **{
@@ -124,6 +142,9 @@ _WRONG_VALUES = {
             "DensityMatrix": lambda z: r.DensityMatrix([["a"]]),
             "Effect": lambda z: r.Effect([["a"]]),
             "loewner_leq": lambda z: r.loewner_leq([["a"]], [[1]]),
+            "DensityMatrix-numeric-string": lambda z: r.DensityMatrix([["0.5", 0], [0, "0.5"]]),
+            "as_matrix-bytes": lambda z: r.as_matrix([[b"1"]]),
+            "from_kraus-numeric-string": lambda z: r.from_kraus([[["1"]]]),
         }.items()
     },
     **{
@@ -138,9 +159,10 @@ _WRONG_VALUES = {
 
 @pytest.mark.parametrize("call", list(_WRONG_VALUES))
 def test_a_value_of_the_wrong_kind_is_a_validation_error(call):
-    # A non-map where a map enters, a non-numeric or ragged matrix entry and a
-    # scale factor that is not a finite real >= 0 are each a ValidationError,
-    # never a bare AttributeError, TypeError, ValueError or RuntimeWarning.
+    # A non-map where a map enters (or a non-instrument, or a non-state), a
+    # non-numeric, string or ragged matrix entry and a scale factor that is
+    # not a finite real >= 0 are each a ValidationError, never a bare
+    # AttributeError, TypeError, ValueError or RuntimeWarning.
     run, message = _WRONG_VALUES[call]
     with pytest.raises(ValidationError, match=message):
         run(z_instrument())
