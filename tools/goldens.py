@@ -38,6 +38,11 @@ CASES = [
                              "simulate", "--steps", "Z", "X", "--condition", "1:+", "--target", "0:+"]),
     ("error_offsum.json", 3, ["--scenario", OFFSUM, "--json",
                               "simulate", "--steps", "Zoff", "--condition", "0:+", "--target", "0:+"]),
+    ("reverse_px.json", 0, ["--scenario", QUBIT, "--json", "reverse", "px+"]),
+    ("state_instrument_x.json", 0,
+     ["--scenario", QUBIT, "--json", "state", "--instrument", "X", "--event", "+", "--posterior"]),
+    ("prob_prior.json", 0, ["--scenario", QUBIT, "--json", "prob", "--prior", "pz+"]),
+    ("bayes_human.txt", 0, ["--scenario", QUBIT, "bayes", "pz+", "pz-", "--condition", "px+", "--index", "0"]),
 ]
 
 
