@@ -213,20 +213,6 @@ def load_scenario(path: str, tol: float) -> Scenario:
     return parse_scenario(text, tol)
 
 
-def serialize_scenario(scn: Scenario) -> dict:
-    """Semantic serialization; re-parsing yields an equivalent scenario."""
-    defs: dict = {}
-    for name, m in scn.matrices.items():
-        defs[name] = {"matrix": serialize_matrix(m)}
-    for name, op in scn.operations.items():
-        defs[name] = {"tensor": serialize_matrix(op.mat)}
-    for name, inst in scn.instruments.items():
-        defs[name] = {
-            "outcomes": {label: {"tensor": serialize_matrix(inst.op(label).mat)} for label in inst.outcomes}
-        }
-    return {"dim": scn.dim, "definitions": defs, "tasks": scn.tasks}
-
-
 # ----------------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------------
@@ -244,7 +230,7 @@ def _check_residuals(residuals: dict, tol: float) -> None:
 def cmd_check(scn: Scenario, args, tol: float) -> dict:
     op = scn.operation(args.name)
     cls = superop.classify(op, tol)
-    return {"command": "check", "name": args.name, "tolerance": tol, "classification": asdict(cls)}
+    return {"name": args.name, "tolerance": tol, "classification": asdict(cls)}
 
 
 def cmd_kraus(scn: Scenario, args, tol: float) -> dict:
@@ -253,7 +239,6 @@ def cmd_kraus(scn: Scenario, args, tol: float) -> dict:
     rebuilt = superop.from_kraus(ks.ops, dim=ks.dim)
     residual = float(np.abs(rebuilt.mat - op.mat).max())
     return {
-        "command": "kraus",
         "name": args.name,
         "tolerance": tol,
         "kraus": [serialize_matrix(m) for m in ks.ops],
@@ -270,7 +255,6 @@ def cmd_prob(scn: Scenario, args, tol: float) -> dict:
         a, b = (scn.operation(n) for n in names)
         value = (bayes.p_pred if mode == "pred" else bayes.p_retro)(a, b, tol)
     return {
-        "command": "prob",
         "mode": mode,
         "operations": list(names),
         "tolerance": tol,
@@ -290,7 +274,6 @@ def cmd_bayes(scn: Scenario, args, tol: float) -> dict:
     }
     _check_residuals(residuals, tol)
     return {
-        "command": "bayes",
         "resolution": list(args.members),
         "condition": args.condition,
         "index": j,
@@ -305,7 +288,6 @@ def cmd_reverse(scn: Scenario, args, tol: float) -> dict:
     a = scn.operation(args.name)
     rev = bayes.time_reverse(a, tol)
     report = {
-        "command": "reverse",
         "name": args.name,
         "tolerance": tol,
         "classification": asdict(superop.classify(rev, tol)),
@@ -345,7 +327,6 @@ def cmd_state(scn: Scenario, args, tol: float) -> dict:
         source = {"operation": args.name}
     purity = float(np.trace(rho.matrix @ rho.matrix).real)
     return {
-        "command": "state",
         "direction": direction,
         **source,
         "tolerance": tol,
@@ -368,7 +349,6 @@ def cmd_simulate(scn: Scenario, args, tol: float) -> dict:
     target = _parse_step_outcome(args.target, "--target")
     report = sim.estimate(instruments, condition, target, args.trials, seed=args.seed, tol=tol)
     return {
-        "command": "simulate",
         "steps": list(args.steps),
         "condition": {"step": condition[0], "outcome": condition[1]},
         "target": {"step": target[0], "outcome": target[1]},
@@ -396,8 +376,8 @@ def cmd_run(scn: Scenario, args, tol: float) -> dict:
         # The root options are not accepted after a subcommand, so a task
         # always takes --seed and --trials from the parent command line.
         sub.seed, sub.trials = args.seed, args.trials
-        reports.append(COMMANDS[sub.command](scn, sub, tol))
-    return {"command": "run", "tolerance": tol, "tasks": reports}
+        reports.append(_report(scn, sub, tol))
+    return {"tolerance": tol, "tasks": reports}
 
 
 def _parse_task(parser: argparse.ArgumentParser, argv: list, k: int) -> argparse.Namespace:
@@ -414,6 +394,7 @@ def _parse_task(parser: argparse.ArgumentParser, argv: list, k: int) -> argparse
         raise ValidationError(f"task {k}: {out.getvalue().strip().splitlines()[-1]}") from None
 
 
+#: Each command's report, without the ``"command"`` key that :func:`_report` puts first.
 COMMANDS = {
     "check": cmd_check,
     "kraus": cmd_kraus,
@@ -424,6 +405,11 @@ COMMANDS = {
     "simulate": cmd_simulate,
     "run": cmd_run,
 }
+
+
+def _report(scn: Scenario, args, tol: float) -> dict:
+    """The report of ``args.command``, led by its ``"command"`` key."""
+    return {"command": args.command, **COMMANDS[args.command](scn, args, tol)}
 
 
 # ----------------------------------------------------------------------------
@@ -519,13 +505,10 @@ def main(argv=None) -> int:
         if not args.scenario:
             raise ValidationError("--scenario is required")
         scn = load_scenario(args.scenario, tol)
-        report = COMMANDS[args.command](scn, args, tol)
-    except InvariantViolation as e:
-        print(json.dumps({"error": "InvariantViolation", "message": str(e)}))
-        return EXIT_NUMERIC
+        report = _report(scn, args, tol)
     except RetroOpsError as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}))
-        return EXIT_VALIDATION
+        return EXIT_NUMERIC if isinstance(e, InvariantViolation) else EXIT_VALIDATION
     if args.json:
         print(json.dumps(report))
     else:

@@ -217,20 +217,6 @@ def test_tol_env_var_must_be_a_number(monkeypatch, capsys):
     assert report == {"error": "ValidationError", "message": "RETRO_OP_TOL must be a finite number > 0, got 'abc'"}
 
 
-def test_scenario_round_trip(tmp_path):
-    scn = cli.load_scenario(QUBIT, 1e-9)
-    text = json.dumps(cli.serialize_scenario(scn))
-    again = cli.parse_scenario(text, 1e-9)
-    assert again.dim == scn.dim
-    for name, op in scn.operations.items():
-        assert np.abs(again.operations[name].mat - op.mat).max() < 1e-12
-    for name, inst in scn.instruments.items():
-        assert again.instruments[name].outcomes == inst.outcomes
-        for label in inst.outcomes:
-            assert np.abs(again.instruments[name].op(label).mat - inst.op(label).mat).max() < 1e-12
-    assert again.tasks == scn.tasks
-
-
 def test_parse_scenario_forward_reference_rejected():
     doc = {
         "dim": 2,
