@@ -18,7 +18,8 @@ A scenario is a JSON document::
 
 Complex scalars are two-element ``[re, im]`` arrays (bare numbers are taken
 as real) and must be finite; matrices are row-major nested arrays.
-Definitions may reference earlier names only.
+Definitions may reference earlier names only, and no object may give a key
+twice.
 
 Exit codes: 0 success, 2 parse/validation failure, 3 numerical invariant
 violation.  ``--json`` switches output from the human-readable rendering to
@@ -160,10 +161,21 @@ def _build_operation(scn: Scenario, name: str, defn: dict, tol: float) -> Supero
     return total
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its ``(key, value)`` pairs; a key given twice is a
+    :class:`ValidationError`, where ``json`` would keep its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        repeated = next(k for k in keys if keys.count(k) > 1)
+        raise ValidationError(f"key '{repeated}' appears twice in one object")
+    return obj
+
+
 def parse_scenario(text: str, tol: float = DEFAULT_TOL) -> Scenario:
     """Parse and fully validate a scenario document."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
     if not isinstance(doc, dict):

@@ -29,7 +29,7 @@ class Instrument:
     dim: int
     outcomes: tuple
     ops: MappingProxyType = field(repr=False)
-    #: Summed operation per event label tuple; see :func:`summed`.
+    #: Summed operation per event, keyed by the frozenset of its labels; see :func:`summed`.
     _summed: dict = field(default_factory=dict, init=False, repr=False)
 
     def op(self, label: str) -> Superoperator:
@@ -101,12 +101,14 @@ def _event_labels(i: Instrument, event) -> tuple:
 def summed(i: Instrument, event) -> Superoperator:
     """Sum of the components over an outcome subset (zero map for the empty set).
 
-    One map is built per (instrument, label tuple) and returned again for a
-    repeated event, so its classification memo carries over between queries.
+    An event is a set: the components are added in the instrument's outcome
+    order, whatever the order of ``event``, and one map is built per
+    (instrument, set of labels) and returned again for the same event in any
+    order, so its classification memo carries over between queries.
     """
-    labels = _event_labels(i, event)
+    labels = frozenset(_event_labels(i, event))
     if labels not in i._summed:
-        i._summed[labels] = reduce(add, (i.op(x) for x in labels)) if labels else zero(i.dim)
+        i._summed[labels] = reduce(add, (i.ops[x] for x in i.outcomes if x in labels)) if labels else zero(i.dim)
     return i._summed[labels]
 
 

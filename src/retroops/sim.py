@@ -43,7 +43,9 @@ whole-matrix draw would, and results are bit-identical for any chunk size.
 Each public call checks its inputs once, where they enter: one entry check
 of the steps and the prior gives the start state, and one check per
 (step, outcome label) pair gives the outcome index.  The exact forward loop
-and the sampler then work on these checked values and check nothing again.
+and the sampler then work on these checked values: a forward step is the
+bare product ``apply`` computes, without its checks, and the one lookup
+repeated is of a marginalised step's own labels in ``summed``.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from .errors import (
     ZeroProbabilityBranch,
 )
 from .matcore import DEFAULT_TOL, _as_probability, _is_int
-from .superop import _common_dim, apply
+from .superop import _common_dim
 from .instrument import Instrument, summed
 from .states import DensityMatrix
 
@@ -188,10 +190,13 @@ def _forward(instruments, fixed: dict, rho: np.ndarray, tol: float) -> float:
     """Exact probability that each step ``s`` in ``fixed`` gives the outcome
     of index ``fixed[s]``, from the start state ``rho``; the other steps are
     marginalised by their summed (trivial) operation.  Takes checked values
-    (see :func:`_start` and :func:`_outcome`) and checks nothing again."""
+    (see :func:`_start` and :func:`_outcome`) and applies each step as the
+    bare product :func:`~retroops.superop.apply` computes, without its
+    checks; a marginalised step's map comes from :func:`summed`, which looks
+    up that instrument's own labels again."""
     for s, inst in enumerate(instruments):
         op = inst.ops[inst.outcomes[fixed[s]]] if s in fixed else summed(inst, inst.outcomes)
-        rho = apply(op, rho)
+        rho = (op.mat @ rho.ravel()).reshape(rho.shape)
     return _as_probability(complex(np.trace(rho)), tol)
 
 

@@ -255,6 +255,23 @@ def test_parse_scenario_validation_messages():
         cli.parse_scenario("[1, 2")
 
 
+@pytest.mark.parametrize("definitions,key", [
+    ('"x": {"builder": "unit"}, "y": {"builder": "sum", "of": ["x"]}, "x": {"builder": "zero"}', "x"),
+    ('"id": {"builder": "unit"}, "U": {"outcomes": {"+": "id", "+": "id"}}', "+"),
+], ids=["definition", "outcome"])
+def test_a_repeated_key_is_a_validation_error(tmp_path, capsys, definitions, key):
+    # json.dumps cannot repeat a key, so the document is written by hand;
+    # json alone would keep the last value and go on without a word.
+    text = f'{{"dim": 2, "definitions": {{{definitions}}}}}'
+    message = f"key '{key}' appears twice in one object"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        cli.parse_scenario(text)
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    assert cli.main(["--scenario", str(path), "--json", "check", "x"]) == cli.EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().out) == {"error": "ValidationError", "message": message}
+
+
 def test_scenario_classes_recorded():
     scn = cli.load_scenario(QUBIT, 1e-9)
     assert superop.classify(scn.operation("id"), 1e-9).trivial
@@ -383,6 +400,15 @@ def test_state_uses_every_argument_it_is_given(capsys, args, message):
     report = json.loads(capsys.readouterr().out)
     assert report["error"] == "ValidationError"
     assert re.fullmatch(message, report["message"])
+
+
+def test_state_echoes_the_event_in_the_order_given(capsys):
+    reports = []
+    for event in ("+,-", "-,+"):
+        assert cli.main(["--scenario", QUBIT, "--json", "state", "--instrument", "Z", f"--event={event}"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert [rep.pop("event") for rep in reports] == [["+", "-"], ["-", "+"]]
+    assert reports[0] == reports[1]
 
 
 def test_task_args_must_be_a_list(tmp_path, capsys):

@@ -20,6 +20,7 @@ from helpers import (
     PZP,
     luders_resolution,
     rand_operation,
+    rand_resolution,
     rand_unitary,
     rng,
     x_instrument,
@@ -220,6 +221,19 @@ def test_time_reversed_instrument():
 def test_summed_over_all_outcomes_is_trivial():
     z = z_instrument()
     assert r.classify(r.summed(z, z.outcomes)).trivial
+
+
+def test_an_event_does_not_depend_on_the_order_of_its_labels():
+    # An event is a set: its components are added in the instrument's outcome
+    # order, so a permuted event is the same map and gives the same bits.
+    gen = rng(57)
+    forward, backward = ["0", "1", "2"], ["2", "1", "0"]
+    for _ in range(40):
+        inst = r.make_instrument({str(k): op for k, op in enumerate(rand_resolution(gen, 3, 4))})
+        a = r.scale(r.unitary(rand_unitary(gen, 3)), float(gen.uniform(0.3, 1.0)))
+        assert r.summed(inst, backward) is r.summed(inst, forward)
+        assert r.p_inst_pred(inst, backward, a) == r.p_inst_pred(inst, forward, a)
+        assert r.p_inst_retro(inst, ("1", "0", "2"), a) == r.p_inst_retro(inst, forward, a)
 
 
 def _off_normalised_z(eps):

@@ -17,6 +17,7 @@ from helpers import (
     luders_resolution,
     philox,
     philox_row,
+    rand_psd,
     rand_unitary,
     rng,
     scalar_outcomes,
@@ -416,6 +417,23 @@ def test_exact_sequence_probability_stays_in_unit_interval():
         for fixed in ({}, {step: insts[step].outcomes[0]}):
             p = r.exact_sequence_probability(insts, fixed)
             assert 0.0 <= p <= 1.0, (d, fixed, p)
+
+
+def test_exact_sequence_probability_is_the_public_apply_loop_bit_for_bit():
+    # The forward loop skips apply's checks, not its product: each step's
+    # state is the bits r.apply gives, and so is the final probability.
+    gen = rng(94)
+    for trial in range(30):
+        d = 2 + trial % 3
+        insts = [unsharp_instrument(gen, d, int(gen.integers(2, 4))) for _ in range(4)]
+        m = rand_psd(gen, d)
+        prior = r.DensityMatrix(m / np.trace(m).real)
+        fixed = {1: insts[1].outcomes[0], 3: insts[3].outcomes[-1]}
+        rho = prior.matrix
+        for s, inst in enumerate(insts):
+            rho = r.apply(inst.op(fixed[s]) if s in fixed else r.summed(inst, inst.outcomes), rho)
+        expected = min(max(float(np.trace(rho).real), 0.0), 1.0)
+        assert r.exact_sequence_probability(insts, fixed, prior=prior) == expected
 
 
 def test_branch_probs_do_not_depend_on_batch_size():
