@@ -371,7 +371,7 @@ def cmd_simulate(scn: Scenario, args, tol: float) -> dict:
 
 
 def cmd_run(scn: Scenario, args, tol: float) -> dict:
-    """Run the scenario's tasks, parsing each with the parser ``main`` built."""
+    """Run the scenario's tasks, each parsed by :data:`PARSER`."""
     reports = []
     for k, task in enumerate(scn.tasks):
         if not isinstance(task, dict) or not isinstance(task.get("command"), str):
@@ -384,7 +384,7 @@ def cmd_run(scn: Scenario, args, tol: float) -> dict:
         if not isinstance(task_args, list):
             raise ValidationError(f"task {k}: 'args' must be a list, got {task_args!r}")
         argv = [task["command"], *[str(x) for x in task_args]]
-        sub = _parse_task(args.parser, argv, k)
+        sub = _parse_task(argv, k)
         # The root options are not accepted after a subcommand, so a task
         # always takes --seed and --trials from the parent command line.
         sub.seed, sub.trials = args.seed, args.trials
@@ -392,14 +392,14 @@ def cmd_run(scn: Scenario, args, tol: float) -> dict:
     return {"tolerance": tol, "tasks": reports}
 
 
-def _parse_task(parser: argparse.ArgumentParser, argv: list, k: int) -> argparse.Namespace:
-    """``parser.parse_args(argv)`` for task ``k``.  Where argparse would print
+def _parse_task(argv: list, k: int) -> argparse.Namespace:
+    """``PARSER.parse_args(argv)`` for task ``k``.  Where argparse would print
     help or a usage error and exit, which would end ``run`` without a report,
     the task is a :class:`ValidationError` carrying argparse's message."""
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-            return parser.parse_args(argv)
+            return PARSER.parse_args(argv)
     except SystemExit as e:
         if e.code == 0:
             raise ValidationError(f"task {k}: asks for help; a task must be a command to run") from None
@@ -476,6 +476,11 @@ def _command_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The command line grammar, built once: ``parse_args`` leaves a parser as it
+#: was, so ``main`` and every task of ``run`` share it.
+PARSER = _command_parser()
+
+
 def _human_lines(report: dict) -> list:
     lines = []
 
@@ -509,9 +514,7 @@ def _tolerance(flag) -> float:
 
 
 def main(argv=None) -> int:
-    parser = _command_parser()
-    args = parser.parse_args(argv)
-    args.parser = parser
+    args = PARSER.parse_args(argv)
     try:
         tol = _tolerance(args.tol)
         if not args.scenario:

@@ -303,18 +303,22 @@ def test_run_tasks_inherit_seed_and_trials(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["tasks"] == [golden("simulate_zx.json")]
 
 
-def test_run_builds_the_parser_once(monkeypatch, capsys):
-    builds = []
-    real = cli._command_parser
+def test_main_and_run_build_no_parser(monkeypatch, capsys):
+    # The grammar is built once, at import, as cli.PARSER.
+    def refuse():
+        raise AssertionError("a parser was built after import")
 
-    def counted():
-        builds.append(1)
-        return real()
-
-    monkeypatch.setattr(cli, "_command_parser", counted)
+    monkeypatch.setattr(cli, "_command_parser", refuse)
     assert cli.main(["--scenario", QUBIT, "--json", "run"]) == 0
     assert len(json.loads(capsys.readouterr().out)["tasks"]) == 4
-    assert len(builds) == 1
+
+
+def test_cmd_run_called_directly_gives_the_report_main_prints(capsys):
+    argv = ["--scenario", QUBIT, "--json", "run"]
+    args = cli.PARSER.parse_args(argv)
+    report = cli.cmd_run(cli.load_scenario(QUBIT, 1e-9), args, 1e-9)
+    assert cli.main(argv) == 0
+    assert {"command": "run", **report} == json.loads(capsys.readouterr().out) == golden("run_tasks.json")
 
 
 @pytest.mark.parametrize("task", [
