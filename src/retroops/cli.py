@@ -19,7 +19,18 @@ A scenario is a JSON document::
 Complex scalars are two-element ``[re, im]`` arrays (bare numbers are taken
 as real) and must be finite; matrices are row-major nested arrays.
 Definitions may reference earlier names only, and no object may give a key
-twice.
+twice.  Each object holds only the keys it reads, or the scenario is a
+:class:`ValidationError`:
+
+- the root: ``dim``, ``definitions``, ``tasks``;
+- a task: ``command``, ``args``;
+- a definition, top-level or an inline outcome: the first of ``matrix``,
+  ``outcomes``, ``kraus``, ``tensor`` and ``builder`` that it holds names
+  its kind; besides it, ``of`` for the ``projector``, ``unitary`` and
+  ``sum`` builders and ``weights`` for ``sum``.
+
+Every entry of :data:`COMMANDS`, ``run`` included, takes ``(scenario,
+args, tol)``, where ``args`` is a namespace :data:`PARSER` returned.
 
 Exit codes: 0 success, 2 parse/validation failure, 3 numerical invariant
 violation.  ``--json`` switches output from the human-readable rendering to
@@ -122,16 +133,40 @@ def _lookup(table: dict, kind: str, name, where: str):
     return table[name]
 
 
-def _build_operation(scn: Scenario, name: str, defn: dict, tol: float) -> Superoperator:
+def _known_keys(obj: dict, keys: tuple, where: str) -> None:
+    """:class:`ValidationError` prefixed by ``where`` for the first key of
+    ``obj`` that is not in ``keys``, so a misspelt key is not ignored."""
+    for key in obj:
+        if key not in keys:
+            raise ValidationError(f"{where}: unknown key '{key}'")
+
+
+def _definition_kind(name: str, defn) -> str:
+    """The kind of the definition ``defn``: its first key among ``matrix``,
+    ``outcomes``, ``kraus``, ``tensor`` and ``builder`` (``builder`` if it has
+    none).  Its other keys must be ones that kind reads: ``of`` for the
+    projector, unitary and sum builders, ``weights`` for sum.  An unknown
+    builder is left to :func:`_build_operation` to name."""
     if not isinstance(defn, dict):
         raise ValidationError(f"'{name}': definition must be an object")
-    if "kraus" in defn:
+    kind = next((k for k in ("matrix", "outcomes", "kraus", "tensor") if k in defn), "builder")
+    builder = defn.get("builder") if kind == "builder" else None
+    if builder in BUILDERS or kind != "builder":
+        reads = {"projector": ("of",), "unitary": ("of",), "sum": ("of", "weights")}.get(builder, ())
+        _known_keys(defn, (kind, *reads), f"'{name}'")
+    return kind
+
+
+def _build_operation(scn: Scenario, name: str, defn: dict, kind: str, tol: float) -> Superoperator:
+    """The operation ``defn`` of kind ``kind`` defines; a ``matrix`` or
+    ``outcomes`` kind, which names no operation, ends in the builder check."""
+    if kind == "kraus":
         if not isinstance(defn["kraus"], list):
             raise ValidationError(f"'{name}': 'kraus' must be a list of matrices, got {defn['kraus']!r}")
         return superop.from_kraus(
             [_parse_matrix(m, f"'{name}' kraus[{k}]", scn.dim) for k, m in enumerate(defn["kraus"])], dim=scn.dim
         )
-    if "tensor" in defn:
+    if kind == "tensor":
         return Superoperator(scn.dim, _parse_matrix(defn["tensor"], f"'{name}' tensor", scn.dim**2))
     builder = defn.get("builder")
     if builder not in BUILDERS:
@@ -180,6 +215,7 @@ def parse_scenario(text: str, tol: float = DEFAULT_TOL) -> Scenario:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
     if not isinstance(doc, dict):
         raise ValidationError("scenario root must be a JSON object")
+    _known_keys(doc, ("dim", "definitions", "tasks"), "scenario root")
     dim = doc.get("dim")
     if not (_is_int(dim) and dim >= 1):
         raise ValidationError(f"'dim' must be a positive integer, got {dim!r}")
@@ -196,11 +232,10 @@ def parse_scenario(text: str, tol: float = DEFAULT_TOL) -> Scenario:
     if not isinstance(definitions, dict):
         raise ValidationError("'definitions' must be an object")
     for name, defn in definitions.items():
-        if not isinstance(defn, dict):
-            raise ValidationError(f"'{name}': definition must be an object")
-        if "matrix" in defn:
+        kind = _definition_kind(name, defn)
+        if kind == "matrix":
             scn.matrices[name] = _parse_matrix(defn["matrix"], f"'{name}' matrix", dim)
-        elif "outcomes" in defn:
+        elif kind == "outcomes":
             outcomes = defn["outcomes"]
             if not isinstance(outcomes, dict) or not outcomes:
                 raise ValidationError(f"'{name}': 'outcomes' must be a nonempty object")
@@ -209,10 +244,11 @@ def parse_scenario(text: str, tol: float = DEFAULT_TOL) -> Scenario:
                 if isinstance(ref, str):
                     ops[label] = _lookup(scn.operations, "operation", ref, f"'{name}': outcome '{label}': ")
                 else:
-                    ops[label] = _build_operation(scn, f"{name}:{label}", ref, tol)
+                    inline = f"{name}:{label}"
+                    ops[label] = _build_operation(scn, inline, ref, _definition_kind(inline, ref), tol)
             scn.instruments[name] = instr_mod.make_instrument(ops, name=name, tol=tol)
         else:
-            scn.operations[name] = _build_operation(scn, name, defn, tol)
+            scn.operations[name] = _build_operation(scn, name, defn, kind, tol)
     return scn
 
 
@@ -376,6 +412,7 @@ def cmd_run(scn: Scenario, args, tol: float) -> dict:
     for k, task in enumerate(scn.tasks):
         if not isinstance(task, dict) or not isinstance(task.get("command"), str):
             raise ValidationError(f"task {k}: expected an object with a string 'command' field")
+        _known_keys(task, ("command", "args"), f"task {k}")
         if task["command"] == "run":
             raise ValidationError(f"task {k}: tasks may not nest 'run'")
         if task["command"] not in COMMANDS:

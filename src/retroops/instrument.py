@@ -64,16 +64,21 @@ def product(i: Instrument, j: Instrument, tol: float = DEFAULT_TOL) -> Instrumen
     """Joint instrument on the Cartesian outcome set.
 
     The component at ``"x,y"`` is ``compose(i.op(x), j.op(y))`` -- ``j`` acts
-    first, ``i`` second -- and the result revalidates as an instrument.
+    first, ``i`` second -- and the result revalidates as an instrument.  Two
+    outcome pairs that give one label (``("a,b", "c")`` and ``("a", "b,c")``)
+    are a :class:`ValidationError`: a mapping would keep one of them.
     """
     _common_dim((i, j), "instruments", Instrument)
-    ops = {
-        f"{x},{y}": compose(i.op(x), j.op(y))
-        for x in i.outcomes
-        for y in j.outcomes
-    }
     name = f"{i.name}*{j.name}" if i.name or j.name else ""
-    return make_instrument(ops, name=name, tol=tol)
+    pairs = {}
+    for x in i.outcomes:
+        for y in j.outcomes:
+            first = pairs.setdefault(f"{x},{y}", (x, y))
+            if first != (x, y):
+                raise ValidationError(
+                    f"instrument '{name}': outcome pairs {first} and {(x, y)} share the label '{x},{y}'"
+                )
+    return make_instrument({label: compose(i.op(x), j.op(y)) for label, (x, y) in pairs.items()}, name=name, tol=tol)
 
 
 def _event_labels(i: Instrument, event) -> tuple:

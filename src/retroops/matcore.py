@@ -30,10 +30,12 @@ DEFAULT_TOL = 1e-9
 
 
 def as_matrix(entries) -> np.ndarray:
-    """Coerce ``entries`` to a square complex matrix; the one finiteness test,
-    so a non-finite or overflowed entry is a :class:`ValidationError`."""
+    """Coerce ``entries`` to a square complex matrix of side >= 1; the one
+    shape test, so a 0x0 matrix is a :class:`DimensionMismatch`, and the one
+    finiteness test, so a non-finite or overflowed entry is a
+    :class:`ValidationError`."""
     m = _complex_array(entries)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     return _require_finite(m)
 

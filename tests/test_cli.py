@@ -369,6 +369,31 @@ def test_definitions_of_the_wrong_shape_exit_2(tmp_path, capsys, defn, message):
     assert json.loads(capsys.readouterr().out) == {"error": "ValidationError", "message": message}
 
 
+_EYE = [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"definitoins": {}}, "scenario root: unknown key 'definitoins'"),
+    ({"tasks": [{"command": "check", "arg": ["id"]}]}, "task 0: unknown key 'arg'"),
+    ({"definitions": {"M": {"matrix": _EYE, "builder": "unit"}}}, "'M': unknown key 'builder'"),
+    ({"definitions": {"Z": {"outcomes": {"+": "id"}, "name": "Z"}}}, "'Z': unknown key 'name'"),
+    ({"definitions": {"k": {"kraus": [_EYE], "of": "M"}}}, "'k': unknown key 'of'"),
+    ({"definitions": {"t": {"tensor": np.eye(4).tolist(), "builder": "unit"}}}, "'t': unknown key 'builder'"),
+    ({"definitions": {"u": {"builder": "unit", "of": "id"}}}, "'u': unknown key 'of'"),
+    ({"definitions": {"p": {"builder": "projector", "of": _EYE, "weights": [1]}}}, "'p': unknown key 'weights'"),
+    ({"definitions": {"h": {"builder": "sum", "of": ["id"], "wieghts": [0.5]}}}, "'h': unknown key 'wieghts'"),
+    ({"definitions": {"Z": {"outcomes": {"+": {"builder": "unit", "of": "id"}}}}}, "'Z:+': unknown key 'of'"),
+], ids=["root", "task", "matrix", "outcomes", "kraus", "tensor", "unit", "projector", "sum", "inline-outcome"])
+def test_an_unknown_key_is_a_validation_error(tmp_path, capsys, doc, message):
+    # A misspelt or misplaced key would otherwise be ignored and change the
+    # answer: the sum above would be the identity map, not half of it.
+    path = tmp_path / "keys.json"
+    definitions = {"id": {"builder": "unit"}, **doc.get("definitions", {})}
+    path.write_text(json.dumps({"dim": 2, **doc, "definitions": definitions}))
+    assert cli.main(["--scenario", str(path), "--json", "run"]) == cli.EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().out) == {"error": "ValidationError", "message": message}
+
+
 def test_an_oversized_inline_matrix_builds_no_map(monkeypatch):
     # The side is checked before any entry is parsed or any map built: a
     # 300x300 projector at dim 2 would otherwise ask from_kraus for a

@@ -143,6 +143,17 @@ def test_product_requires_matching_dims():
         r.product(z_instrument(), r.make_instrument({"a": r.unit(3)}))
 
 
+def test_product_rejects_two_outcome_pairs_with_one_label():
+    # ("a,b", "c") and ("a", "b,c") both give "a,b,c"; a mapping would keep
+    # one, and the lost component would be blamed on the sum.
+    a = r.make_instrument({"a,b": r.projecting(PZP), "a": r.projecting(PZM)}, name="A")
+    b = r.make_instrument({"c": r.projecting(PZP), "b,c": r.projecting(PZM)}, name="B")
+    message = "instrument 'A*B': outcome pairs ('a,b', 'c') and ('a', 'b,c') share the label 'a,b,c'"
+    with pytest.raises(ValidationError) as e:
+        r.product(a, b)
+    assert str(e.value) == message
+
+
 def test_conditional_probabilities_qubit():
     z, x = z_instrument(), x_instrument()
     # Repeating a projective measurement is deterministic.

@@ -27,6 +27,27 @@ def test_as_matrix_rejects_non_square():
         as_matrix([1, 2, 3])
 
 
+@pytest.mark.parametrize("entry", [
+    r.DensityMatrix,
+    r.Effect,
+    is_psd,
+    lambda m: loewner_leq(m, m),
+    op_norm,
+    normalized_trace,
+    lambda m: hs_inner(m, m),
+    r.projecting,
+    r.unitary,
+    trace,
+    hermitian_eig,
+], ids=["DensityMatrix", "Effect", "is_psd", "loewner_leq", "op_norm", "normalized_trace", "hs_inner",
+        "projecting", "unitary", "trace", "hermitian_eig"])
+def test_a_zero_size_matrix_is_a_dimension_mismatch(entry):
+    # as_matrix is the one shape test, so no entry ends in an IndexError,
+    # a ZeroDivisionError or numpy's zero-size reduction ValueError.
+    with pytest.raises(DimensionMismatch, match=r"expected a square matrix, got shape \(0, 0\)"):
+        entry(np.zeros((0, 0)))
+
+
 def test_as_matrix_rejects_nonfinite():
     with pytest.raises(ValueError):
         as_matrix([[np.inf, 0], [0, 1]])

@@ -22,6 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 QUBIT = "tests/fixtures/qubit.json"
 OFFSUM = "tests/fixtures/offsum.json"
+TYPO = "tests/fixtures/typo.json"
 
 #: (golden file, exit code, arguments); paths are relative to the repository root.
 CASES = [
@@ -43,6 +44,7 @@ CASES = [
      ["--scenario", QUBIT, "--json", "state", "--instrument", "X", "--event", "+", "--posterior"]),
     ("prob_prior.json", 0, ["--scenario", QUBIT, "--json", "prob", "--prior", "pz+"]),
     ("bayes_human.txt", 0, ["--scenario", QUBIT, "bayes", "pz+", "pz-", "--condition", "px+", "--index", "0"]),
+    ("error_unknown_key.json", 2, ["--scenario", TYPO, "--json", "check", "h"]),
 ]
 
 
