@@ -47,13 +47,14 @@ members' matrices, and the Bayes joints in :mod:`retroops.bayes` read an
 event weight from the raw product of two checked maps.
 
 All values are immutable after construction; every function is pure.
-Because a map never changes, :func:`classify`, the CP verdict it shares
-with :func:`is_cp`, and the Kraus factor it shares with
-:func:`extract_kraus` are computed once per (map, tolerance) and kept on
-the map.  :func:`event_weight`, and the identity's two images once an
-inferred state asks for them, take no tolerance and are kept once per
-map.  Two threads racing on a first call may both compute the value; they
-store equal results.
+Because a map never changes, :func:`classify` and the CP verdict it
+shares with :func:`is_cp` and :func:`extract_kraus` are computed once per
+(map, tolerance) and kept on the map, and so is the Kraus factor once
+:func:`extract_kraus` asks for it; :func:`classify` builds none.
+:func:`event_weight`, and the identity's two images once an inferred
+state asks for them, take no tolerance and are kept once per map.  Two
+threads racing on a first call may both compute the value; they store
+equal results.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    InvariantViolation,
     NotCP,
     NotHermitian,
     NotOperation,
@@ -352,12 +352,11 @@ def extract_kraus(a: Superoperator, tol: float = DEFAULT_TOL) -> KrausSet:
 def classify(a: Superoperator, tol: float = DEFAULT_TOL) -> OperationClass:
     """Classify a superoperator: positivity, complete positivity, operation, triviality.
 
-    The operation predicate is evaluated directly (Choi positivity plus the
-    two Loewner checks) and, for completely positive maps, cross-checked
-    against the Kraus-sum route ``sum M_k* M_k <= I`` and
-    ``sum M_k M_k* <= I``; disagreement raises :class:`InvariantViolation`.
-    The record is computed once per (map, tol) and then returned from the
-    map's memo.
+    The operation predicate is decided once, by the Loewner route: Choi
+    positivity plus ``adjoint(a)(I) <= I`` and ``a(I) <= I``, which for Kraus
+    matrices ``M_k`` are ``sum M_k* M_k <= I`` and ``sum M_k M_k* <= I``.  No
+    Kraus factor is built.  The record is computed once per (map, tol) and
+    then returned from the map's memo.
     """
     return _memoised(a, "classify", tol, _classify)
 
@@ -396,13 +395,6 @@ def _classify(a: Superoperator, tol: float) -> OperationClass:
     pair = _effect_pair(a.dim, a.mat)
     sub_tracial, sub_unital = bounds = [_psd(eye - img, tol) for img in pair]
     operation = cp and all(bounds)
-    if cp:
-        kraus_pair = _effect_pair(a.dim, from_kraus(extract_kraus(a, tol).ops, dim=a.dim).mat)
-        # a(I) first, so a map that fails its bound stops after one eigensolve.
-        if all(_psd(eye - img, tol) for img in reversed(kraus_pair)) != all(bounds):
-            raise InvariantViolation(
-                "operation predicate disagrees between the Loewner route and the Kraus-sum route"
-            )
     trivial = operation and all(_deviation(img) <= tol for img in pair)
     return OperationClass(positive, cp, sub_unital, sub_tracial, operation, trivial)
 
