@@ -106,9 +106,10 @@ def serialize_matrix(m: np.ndarray) -> list:
 
 #: Largest scenario ``dim``.  A map on ``dim x dim`` matrices is a
 #: ``dim**2 x dim**2`` complex matrix (``16 * dim**4`` bytes), and checking it
-#: takes spectra and a Kraus factor of that size: at ``dim = 16`` one
-#: 256 x 256 ``eigvalsh`` plus the factor of a full-rank map take about
-#: 80 ms (one CPU, numpy 2.4).  A larger ``dim`` is refused up front.
+#: takes spectra of that size: at ``dim = 16`` ``classify`` of a fresh
+#: full-rank map takes about 18 ms, and a later ``extract_kraus`` about 65 ms
+#: (medians, one BLAS thread, numpy 2.4.6).  A larger ``dim`` is refused up
+#: front.
 MAX_SCENARIO_DIM = 16
 
 @dataclass

@@ -36,7 +36,7 @@ def as_matrix(entries) -> np.ndarray:
     :class:`ValidationError`."""
     m = _complex_array(entries)
     if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+        raise DimensionMismatch(f"expected a square matrix of side >= 1, got shape {m.shape}")
     return _require_finite(m)
 
 

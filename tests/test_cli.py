@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +40,9 @@ def golden(name):
 
 @pytest.mark.parametrize("name,code,args", goldens.CASES, ids=[c[0] for c in goldens.CASES])
 def test_golden_reports(name, code, args):
-    # Byte for byte, as CI checks the installed script.
-    assert goldens.mismatch([sys.executable, "-m", "retroops"], name, code, args) is None
+    # Byte for byte, through cli.main in this process; criterion 10 runs the
+    # same cases through python -m retroops, and CI through the installed script.
+    assert goldens.mismatch_in_process(name, code, args) is None
 
 
 def test_exit_code_validation_errors():
@@ -184,6 +186,18 @@ def test_kraus_noncp_rejected(tmp_path):
     proc = run_cli("--scenario", str(path), "--json", "kraus", "swap")
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"] == "NotCP"
+
+
+def test_a_map_at_the_loewner_bound_checks_with_exit_0(tmp_path, capsys):
+    # The identity scaled by 1 + tol (rounded) sits on the operation bound,
+    # where a second verdict rounded differently could disagree and end in
+    # exit 3; check reports classify's one Loewner verdict with exit 0.
+    path = tmp_path / "h.json"
+    path.write_text('{"dim": 2, "definitions": {"i": {"builder": "unit"}, '
+                    '"h": {"builder": "sum", "of": ["i"], "weights": [1.0000000009999999]}}}')
+    assert cli.main(["--scenario", str(path), "--json", "check", "h"]) == cli.EXIT_OK
+    h = cli.load_scenario(str(path), 1e-9).operation("h")
+    assert json.loads(capsys.readouterr().out)["classification"] == asdict(r.classify(h))
 
 
 def test_tol_env_var(tmp_path):

@@ -44,7 +44,7 @@ def test_as_matrix_rejects_non_square():
 def test_a_zero_size_matrix_is_a_dimension_mismatch(entry):
     # as_matrix is the one shape test, so no entry ends in an IndexError,
     # a ZeroDivisionError or numpy's zero-size reduction ValueError.
-    with pytest.raises(DimensionMismatch, match=r"expected a square matrix, got shape \(0, 0\)"):
+    with pytest.raises(DimensionMismatch, match=r"expected a square matrix of side >= 1, got shape \(0, 0\)"):
         entry(np.zeros((0, 0)))
 
 

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from helpers import (
     rand_noncp,
     rand_operation,
     rand_projector,
+    rand_resolution,
     rand_superop,
     rand_unitary,
     rng,
@@ -365,6 +368,52 @@ def test_closure_under_involutions():
         a = rand_operation(gen, 3)
         assert r.classify(r.adjoint(a)).operation
         assert r.classify(r.conjugate_map(a)).operation
+
+
+def test_kraus_sums_agree_with_classify_away_from_the_bound():
+    # classify decides the operation predicate by the Loewner route alone.
+    # The Kraus-sum route, sum M_k* M_k <= I and sum M_k M_k* <= I, is the
+    # same predicate rounded differently, so where both images of the
+    # identity have their top eigenvalue at least 5 % from 1 it agrees.
+    gen = rng(54)
+    kinds = set()
+    for d in range(2, 9):
+        eye = np.eye(d)
+        for k in (1, d, d * d):
+            for _ in range(2):
+                a = rand_cp(gen, d, k)
+                tops = [np.linalg.eigvalsh(r.apply(m, eye))[-1] for m in (r.adjoint(a), a)]
+                for c in (0.9 / max(tops), 1.1 / min(tops), 1.0 / np.sqrt(tops[0] * tops[1])):
+                    if min(abs(c * t - 1.0) for t in tops) < 0.05:
+                        continue
+                    b = r.scale(a, float(c))
+                    cls = r.classify(b)
+                    ops = r.extract_kraus(b).ops
+                    kraus = (
+                        r.is_psd(eye - sum(m.conj().T @ m for m in ops)),
+                        r.is_psd(eye - sum(m @ m.conj().T for m in ops)),
+                    )
+                    assert kraus == (cls.sub_tracial, cls.sub_unital)
+                    kinds.add(kraus)
+    assert {(True, True), (False, False)} <= kinds
+
+
+def test_maps_at_the_loewner_bound_classify_without_raising():
+    # Mixed-unitary channels scaled by 1 + tol * f, f within 1e-2 of 1, sit
+    # on the bound, where a second verdict rounded differently could fall
+    # on the other side; the record is the Loewner verdict and nothing raises.
+    gen, tol = rng(55), r.DEFAULT_TOL
+    for d in range(2, 7):
+        eye = np.eye(d)
+        for _ in range(30):
+            channel = reduce(r.add, rand_resolution(gen, d, 3))
+            for f in np.linspace(0.99, 1.01, 5):
+                a = r.scale(channel, 1.0 + tol * f)
+                sub_tracial, sub_unital = (r.is_psd(eye - r.apply(m, eye), tol) for m in (r.adjoint(a), a))
+                cls = r.classify(a, tol)
+                assert cls.cp
+                assert (cls.sub_tracial, cls.sub_unital) == (sub_tracial, sub_unital)
+                assert cls.operation == (sub_tracial and sub_unital)
 
 
 def test_projecting_rejects_non_projector():

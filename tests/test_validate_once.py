@@ -2,10 +2,11 @@
 
 A value derived exactly from checked maps (a rearrangement, a Bayes joint,
 a resolution sum) is not checked again, and gives the bits of the checked
-formula.  ``classify``, the CP verdict it shares with ``is_cp`` and the Kraus
-factor it shares with ``extract_kraus`` are memoised on the map per
-tolerance, ``event_weight`` is memoised per map, and ``summed`` returns one
-map per (instrument, event).  Eigensolves are counted by wrapping
+formula.  ``classify``, the CP verdict it shares with ``is_cp`` and
+``extract_kraus``, and the Kraus factor of ``extract_kraus`` (which
+``classify`` does not build) are memoised on the map per tolerance,
+``event_weight`` is memoised per map, and ``summed`` returns one map per
+(instrument, event).  Eigensolves are counted by wrapping
 ``hermitian_eig`` in every module of the package that binds it.
 """
 

@@ -11,11 +11,15 @@ Run from the repository root with the command that starts the CLI:
     PYTHONPATH=src python3 tools/goldens.py          # python3 -m retroops
     python3 tools/goldens.py retroops                # an installed script
 
-Prints one line per mismatch and exits 1 if there is any.
+Prints one line per mismatch and exits 1 if there is any.  The tests also
+run each case in their own process, through :func:`mismatch_in_process`.
 """
 
+import io
+import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,9 +55,31 @@ CASES = [
 def mismatch(command: list, name: str, code: int, args: list) -> str | None:
     """What is wrong with one case run by ``command``, or ``None``."""
     proc = subprocess.run([*command, *args], capture_output=True, cwd=ROOT)
-    if proc.returncode != code:
-        return f"{name}: exit code {proc.returncode}, expected {code}: {proc.stderr.decode()[-500:]}"
-    if proc.stdout != (GOLDEN / name).read_bytes():
+    return _compare(name, code, proc.returncode, proc.stdout, proc.stderr.decode())
+
+
+def mismatch_in_process(name: str, code: int, args: list) -> str | None:
+    """:func:`mismatch` for one case run by ``retroops.cli.main`` in this
+    process, from the repository root, with standard output and error
+    captured; an exit through ``SystemExit`` counts as its code."""
+    from retroops import cli
+
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            returncode = cli.main(args)
+    except SystemExit as e:
+        returncode = e.code
+    finally:
+        os.chdir(cwd)
+    return _compare(name, code, returncode, out.getvalue().encode(), err.getvalue())
+
+
+def _compare(name: str, code: int, returncode: int, stdout: bytes, stderr: str) -> str | None:
+    if returncode != code:
+        return f"{name}: exit code {returncode}, expected {code}: {stderr[-500:]}"
+    if stdout != (GOLDEN / name).read_bytes():
         return f"{name}: output differs from the golden file"
     return None
 
