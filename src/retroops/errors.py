@@ -42,11 +42,30 @@ class NotOperation(RetroOpsError):
     """A superoperator required to be an operation (CP, sub-unital, sub-tracial) is not."""
 
 
-class NotResolution(RetroOpsError):
+class _SumDeviation(RetroOpsError):
+    """A family of operations whose sum fails the trivial-sum check.
+
+    ``dev_out`` is ``|sum(I) - I|`` and ``dev_in`` is
+    ``|adjoint(sum)(I) - I|``, each the largest entry, and ``bound`` is
+    ``10 * tol``: the check failed because one deviation exceeds ``bound``.
+    The fields are ``None`` where no sum was formed.  As for
+    :class:`NotHermitian`, the defaults let pickle rebuild the error from
+    its message; it then restores the three numbers.
+    """
+
+    def __init__(self, message: str, *, dev_in: float | None = None, dev_out: float | None = None,
+                 bound: float | None = None):
+        super().__init__(message)
+        self.dev_in = dev_in
+        self.dev_out = dev_out
+        self.bound = bound
+
+
+class NotResolution(_SumDeviation):
     """A family of operations does not sum to a trivial operation."""
 
 
-class NotTrivialSum(RetroOpsError):
+class NotTrivialSum(_SumDeviation):
     """Instrument components do not sum to a unital, trace-preserving map."""
 
 

@@ -44,8 +44,8 @@ Each public call checks its inputs once, where they enter: one entry check
 of the steps and the prior gives the start state, and one check per
 (step, outcome label) pair gives the outcome index.  The exact forward loop
 and the sampler then work on these checked values: a forward step is the
-bare product ``apply`` computes, without its checks, and the one lookup
-repeated is of a marginalised step's own labels in ``summed``.
+bare product ``apply`` computes, without its checks, and each step's summed
+map is taken from ``summed`` once per call.
 """
 
 from __future__ import annotations
@@ -183,19 +183,24 @@ def exact_sequence_probability(instruments, outcomes_at, prior=None, tol: float 
     rho = _start(instruments, prior, tol)
     if not isinstance(outcomes_at, Mapping):
         raise ValidationError(f"outcomes_at must map step indices to outcome labels, got {type(outcomes_at).__name__}")
-    return _forward(instruments, {s: _outcome(instruments, s, out) for s, out in outcomes_at.items()}, rho, tol)
+    fixed = {s: _outcome(instruments, s, out) for s, out in outcomes_at.items()}
+    return _forward(instruments, _totals(instruments), fixed, rho, tol)
 
 
-def _forward(instruments, fixed: dict, rho: np.ndarray, tol: float) -> float:
+def _totals(instruments) -> list:
+    """Each step's summed (trivial) operation, taken from :func:`summed` once per call."""
+    return [summed(inst, inst.outcomes) for inst in instruments]
+
+
+def _forward(instruments, totals: list, fixed: dict, rho: np.ndarray, tol: float) -> float:
     """Exact probability that each step ``s`` in ``fixed`` gives the outcome
     of index ``fixed[s]``, from the start state ``rho``; the other steps are
-    marginalised by their summed (trivial) operation.  Takes checked values
-    (see :func:`_start` and :func:`_outcome`) and applies each step as the
-    bare product :func:`~retroops.superop.apply` computes, without its
-    checks; a marginalised step's map comes from :func:`summed`, which looks
-    up that instrument's own labels again."""
+    marginalised by their summed operation in ``totals``.  Takes checked
+    values (see :func:`_start`, :func:`_outcome` and :func:`_totals`) and
+    applies each step as the bare product :func:`~retroops.superop.apply`
+    computes, without its checks."""
     for s, inst in enumerate(instruments):
-        op = inst.ops[inst.outcomes[fixed[s]]] if s in fixed else summed(inst, inst.outcomes)
+        op = inst.ops[inst.outcomes[fixed[s]]] if s in fixed else totals[s]
         rho = (op.mat @ rho.ravel()).reshape(rho.shape)
     return _as_probability(complex(np.trace(rho)), tol)
 
@@ -288,13 +293,14 @@ def estimate(
         fixed.append((pair[0], _outcome(instruments, *pair)))
     (c_step, c_idx), (t_step, t_idx) = fixed
 
-    p_cond = _forward(instruments, {c_step: c_idx}, rho, tol)
+    totals = _totals(instruments)
+    p_cond = _forward(instruments, totals, {c_step: c_idx}, rho, tol)
     if p_cond <= tol:
         raise ZeroCondition("conditioning outcome has zero exact probability")
     if c_step == t_step and c_idx != t_idx:
         p_joint = 0.0
     else:
-        p_joint = _forward(instruments, {c_step: c_idx, t_step: t_idx}, rho, tol)
+        p_joint = _forward(instruments, totals, {c_step: c_idx, t_step: t_idx}, rho, tol)
     exact = _as_probability(complex(p_joint / p_cond), tol)
 
     hits = both = 0

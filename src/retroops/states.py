@@ -20,11 +20,13 @@ bridges the states back to the conditional probability functionals:
 
 An inferred state reads its identity image from the map's matrix, as
 ``apply(adjoint(a), I)`` or ``apply(a, I)`` computes it, and builds no
-adjoint map; both images are computed once per map and kept on it,
-read-only.  The image is checked Hermitian at ``tol``; the
+adjoint map.  The image is checked Hermitian at ``tol``; the
 :class:`DensityMatrix` built from it checks Hermiticity a second time, at
 ``tol / 10``, inside its one :func:`hermitian_eig` call, whose spectrum is
-also its positivity test.
+also its positivity test.  A map never changes, so that one eigensolve
+runs once per (map, direction, tol): the validated, read-only
+:class:`DensityMatrix` is kept on the map and returned again.  A state of
+an instrument's event is kept on the summed map of the event.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import InvariantViolation, NotHermitian, ValidationError, ZeroCondition
 from .matcore import DEFAULT_TOL, _complex_array, _eig_psd, _require_hermitian, _same_dim, as_matrix, hermitian_eig
-from .superop import Superoperator, _identity_images, _require_kind, _require_operation
+from .superop import Superoperator, _effect_pair, _memoised, _require_kind, _require_operation
 from . import instrument as _instr
 
 
@@ -92,45 +94,53 @@ class Effect:
         object.__setattr__(self, "matrix", m)
 
 
-def _normalized_image(image: np.ndarray, tol: float) -> DensityMatrix:
-    """The state ``image / tr image`` for the identity's image under an operation."""
-    m = _require_hermitian(image, tol, "operation image")
-    w = float(m.trace().real)
-    if w <= tol:
-        raise ZeroCondition("operation has zero event weight; no state is inferable")
-    return DensityMatrix(m / w, tol)
+def _inferred_state(a: Superoperator, direction: int, tol: float) -> DensityMatrix:
+    """The state ``img / tr img`` for the identity's image ``img`` under the
+    operation ``a``, its input (``direction`` 0) or its output (1); computed
+    once per (map, direction, tol) and kept on the map.  A failing image
+    is not kept, so it raises on every call."""
+
+    def infer(a: Superoperator, tol: float) -> DensityMatrix:
+        m = _require_hermitian(_effect_pair(a.dim, a.mat)[direction], tol, "operation image")
+        w = float(m.trace().real)
+        if w <= tol:
+            raise ZeroCondition("operation has zero event weight; no state is inferable")
+        return DensityMatrix(m / w, tol)
+
+    return _memoised(a, ("state", direction), tol, infer)
 
 
 def state_prior(a: Superoperator, tol: float = DEFAULT_TOL, check: bool = True) -> DensityMatrix:
     """Density matrix inferred for the input of operation ``a`` given that it fired."""
     if check:
         _require_operation(a, tol, "argument")
-    return _normalized_image(_identity_images(a)[0], tol)
+    return _inferred_state(a, 0, tol)
 
 
 def state_posterior(a: Superoperator, tol: float = DEFAULT_TOL, check: bool = True) -> DensityMatrix:
     """Density matrix inferred for the output of operation ``a`` given that it fired."""
     if check:
         _require_operation(a, tol, "argument")
-    return _normalized_image(_identity_images(a)[1], tol)
+    return _inferred_state(a, 1, tol)
 
 
 def state_of_instrument(inst, event, direction: str = "prior", tol: float = DEFAULT_TOL) -> DensityMatrix:
     """State inferred from an instrument's outcome landing in ``event``.
 
     Equals the prior/posterior state of the summed operation over the event,
-    which is an operation because the instrument was validated.
+    which is an operation because the instrument was validated; the state
+    is kept on that map, which :func:`~retroops.instrument.summed` keeps
+    per event.
     """
     if direction not in ("prior", "posterior"):
         raise ValidationError(f"direction must be 'prior' or 'posterior', got {direction!r}")
-    total = _instr.summed(inst, event)
-    return _normalized_image(_identity_images(total)[direction == "posterior"], tol)
+    return _inferred_state(_instr.summed(inst, event), direction == "posterior", tol)
 
 
 def effects_of(a: Superoperator, tol: float = DEFAULT_TOL) -> tuple:
     """The effect pair ``(sum M_k* M_k, sum M_k M_k*)`` of an operation."""
     _require_operation(a, tol, "argument")
-    return tuple(Effect(m, tol) for m in _identity_images(a))
+    return tuple(Effect(m, tol) for m in _effect_pair(a.dim, a.mat))
 
 
 def expect(rho: DensityMatrix, obs, tol: float = DEFAULT_TOL) -> float:

@@ -51,15 +51,20 @@ Because a map never changes, :func:`classify` and the CP verdict it
 shares with :func:`is_cp` and :func:`extract_kraus` are computed once per
 (map, tolerance) and kept on the map, and so is the Kraus factor once
 :func:`extract_kraus` asks for it; :func:`classify` builds none.
-:func:`event_weight`, and the identity's two images once an inferred
-state asks for them, take no tolerance and are kept once per map.  Two
-threads racing on a first call may both compute the value; they store
-equal results.
+:func:`event_weight` takes no tolerance and is kept once per map; the
+states inferred from the identity's two images (:mod:`retroops.states`)
+are kept per (map, direction, tolerance).  The trivial-sum check keeps
+the deviation pair of one family on its first member, next to weak
+references to the other members, so a map holds at most one family,
+keeps no other member alive and forms no reference cycle.  Two threads
+racing on a first call may both compute the value; they store equal
+results.
 """
 
 from __future__ import annotations
 
 import sys
+import weakref
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from numbers import Real
@@ -373,13 +378,6 @@ def _effect_pair(dim: int, m: np.ndarray) -> tuple:
     return pair
 
 
-def _identity_images(a: Superoperator) -> tuple:
-    """:func:`_effect_pair` of the map ``a``, computed on the first call and
-    kept on the map.  Only the inferred states and effects read it, so a map
-    that is only classified or queried for probabilities keeps none."""
-    return _memoised(a, "identity_images", None, lambda a, _tol: _effect_pair(a.dim, a.mat))
-
-
 def _deviation(img: np.ndarray) -> float:
     """``|img - I|``, the largest entry: the one deviation rule for an image
     of the identity.  ``img - I`` is formed on the diagonal of a copy, with
@@ -411,12 +409,25 @@ def _require_trivial_sum(ops, tol: float, error, what: str) -> None:
     The one trivial-sum check, shared by Bayes resolutions and instruments.
     The members are checked maps of one dim, so their matrices are summed
     raw, in :func:`add`'s order, and each image's deviation is read by the
-    rule :func:`classify` applies to a map's own images.
+    rule :func:`classify` applies to a map's own images.  The deviation
+    pair takes no tolerance, so it is kept in one slot on the first member,
+    next to weak references to the other members: a later call over the
+    same members in the same order reads it, and only the comparison with
+    ``10 * tol`` runs again.
     """
+    ops = tuple(ops)
     d = _common_dim(ops, "superoperators")
-    dev_in, dev_out = map(_deviation, _effect_pair(d, reduce(np.add, (a.mat for a in ops))))
-    if max(dev_out, dev_in) > 10 * tol:
-        raise error(f"{what}; |sum(I) - I| = {dev_out:.3e}, |adjoint(sum)(I) - I| = {dev_in:.3e}")
+    rest = ops[1:]
+    kept = ops[0]._memo.get(("family", None))
+    if kept and tuple(ref() for ref in kept[0]) == rest:
+        dev_in, dev_out = kept[1]
+    else:
+        dev_in, dev_out = map(_deviation, _effect_pair(d, reduce(np.add, (a.mat for a in ops))))
+        ops[0]._memo["family", None] = tuple(map(weakref.ref, rest)), (dev_in, dev_out)
+    bound = 10 * tol
+    if max(dev_out, dev_in) > bound:
+        raise error(f"{what}; |sum(I) - I| = {dev_out:.3e}, |adjoint(sum)(I) - I| = {dev_in:.3e}",
+                    dev_in=dev_in, dev_out=dev_out, bound=bound)
 
 
 def unit(dim: int) -> Superoperator:

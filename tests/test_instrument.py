@@ -1,3 +1,4 @@
+import pickle
 from itertools import combinations
 
 import numpy as np
@@ -58,6 +59,28 @@ def test_nontrivial_sum_message_names_each_image():
         r.make_instrument({"0": decay[0], "1": decay[1]})
     with pytest.raises(NotResolution, match=devs.format(r"0\.000e\+00", r"1\.000e\+00")):
         r.bayes_retrodict([r.adjoint(a) for a in decay], r.unit(2), 0)
+
+
+def test_trivial_sum_errors_carry_their_numbers_through_pickle():
+    # Each error carries the two deviations and the bound 10 * tol as
+    # fields; pickle rebuilds it from its message and restores them.
+    decay = [r.from_kraus([np.array(k, dtype=complex)]) for k in ([[1, 0], [0, 0]], [[0, 1], [0, 0]])]
+    errors = []
+    for kind, fail in (
+        (NotTrivialSum, lambda: r.make_instrument({"0": decay[0], "1": decay[1]})),
+        (NotResolution, lambda: r.bayes_retrodict([r.adjoint(a) for a in decay], r.unit(2), 0, tol=1e-7)),
+    ):
+        with pytest.raises(kind) as info:
+            fail()
+        errors.append(info.value)
+    assert [(e.dev_out, e.dev_in, e.bound) for e in errors] == [(1.0, 0.0, SUM_TOL), (0.0, 1.0, 10 * 1e-7)]
+    errors.append(NotResolution("resolution must be nonempty"))
+    for e in errors:
+        back = pickle.loads(pickle.dumps(e))
+        assert type(back) is type(e)
+        assert str(back) == str(e)
+        assert (back.dev_in, back.dev_out, back.bound) == (e.dev_in, e.dev_out, e.bound)
+    assert (errors[-1].dev_in, errors[-1].dev_out, errors[-1].bound) == (None, None, None)
 
 
 def test_make_instrument_rejects_empty_and_mixed_dims():

@@ -6,12 +6,21 @@ formula.  ``classify``, the CP verdict it shares with ``is_cp`` and
 ``extract_kraus``, and the Kraus factor of ``extract_kraus`` (which
 ``classify`` does not build) are memoised on the map per tolerance,
 ``event_weight`` is memoised per map, and ``summed`` returns one map per
-(instrument, event).  Eigensolves are counted by wrapping
-``hermitian_eig`` in every module of the package that binds it.
+(instrument, event).  An inferred ``DensityMatrix`` is kept per (map,
+direction, tolerance), and a failing one is not kept.  The trivial-sum
+check keeps the deviation pair of one family on its first member, so Bayes
+over an instrument's members in outcome order forms no new sum; the slot
+is one per map, holds the other members weakly and forms no cycle, and the
+comparison with ``10 * tol`` runs on every call.  The exact forward loop
+of the simulator takes each step's summed map once per call.  Eigensolves
+and sums are counted by wrapping ``hermitian_eig`` and ``_effect_pair`` in
+every module of the package that binds them.
 """
 
+import gc
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -308,10 +317,22 @@ def test_mixed_dims_resolution_is_a_dimension_mismatch():
             formula(res, r.unit(2), 0)
 
 
+def _families(a) -> list:
+    """The trivial-sum slots kept on the map ``a``."""
+    return [key for key in a._memo if key[0] == "family"]
+
+
+def _states(a) -> list:
+    """The inferred states kept on the map ``a``, one key per (direction, tol)."""
+    return [key for key in a._memo if key[0] in (("state", 0), ("state", 1))]
+
+
 def test_inferred_states_check_hermiticity_twice_and_eigensolve_once(monkeypatch, eig_calls):
     # An inferred state reads the identity's image from the map (no adjoint
     # map is built), checks the raw image at tol, and its density matrix
-    # checks Hermiticity inside its one eigensolve.
+    # checks Hermiticity inside its one eigensolve.  The state is kept on
+    # the map, so a repeat call returns the same object with no eigensolve
+    # and no Hermitian check.
     adjoints = _count_calls(monkeypatch, superop, "adjoint")
     hermitian = _count_calls(monkeypatch, matcore, "_require_hermitian")
     gen = rng(314)
@@ -323,17 +344,165 @@ def test_inferred_states_check_hermiticity_twice_and_eigensolve_once(monkeypatch
             lambda: r.state_prior(a),
             lambda: r.state_posterior(a),
             lambda: r.state_of_instrument(inst, ["e0", "e2"], "prior"),
-            lambda: r.state_of_instrument(inst, ["e0", "e2"], "posterior"),
+            lambda: r.state_of_instrument(inst, ["e2", "e0"], "posterior"),
         )
         for state in inferred:
-            for _ in range(2):
+            first = None
+            for eigensolves in (1, 0):
                 for counter in (adjoints, eig_calls, hermitian):
                     counter.clear()
                 rho = state()
                 assert len(adjoints) == 0
-                assert len(eig_calls) == 1
-                assert len(hermitian) <= 2
+                assert len(eig_calls) == eigensolves
+                assert len(hermitian) <= 2 * eigensolves
                 assert not rho.matrix.flags.writeable and not rho.spectrum.flags.writeable
+                assert first is None or first is rho
+                first = rho
+
+
+def test_inferred_states_are_kept_per_tolerance_and_not_inherited_by_the_adjoint(eig_calls):
+    gen = rng(316)
+    for d in (2, 3, 5):
+        a = rand_operation(gen, d)
+        for tol in (1e-9, 1e-8):
+            r.classify(a, tol)
+        rho = r.state_prior(a)
+        eig_calls.clear()
+        other = r.state_prior(a, 1e-8)
+        assert len(eig_calls) == 1
+        assert other is not rho and other is r.state_prior(a, 1e-8) and rho is r.state_prior(a)
+        assert np.array_equal(other.matrix, rho.matrix)
+        rev = r.adjoint(a)
+        assert _states(a) == [(('state', 0), 1e-9), (('state', 0), 1e-8)]
+        assert not _states(rev)
+        eig_calls.clear()
+        mirrored = r.state_posterior(rev)
+        assert len(eig_calls) == 1
+        assert mirrored is not rho and np.array_equal(mirrored.matrix, rho.matrix)
+
+
+def test_a_failing_state_is_not_kept():
+    zero = r.zero(2)
+    for _ in range(2):
+        with pytest.raises(r.ZeroCondition, match="zero event weight"):
+            r.state_prior(zero)
+    assert not _states(zero)
+
+
+def test_bayes_over_an_instruments_members_reads_its_kept_sum(monkeypatch):
+    # make_instrument checks the components' sum in outcome order, so Bayes
+    # over the members in that order forms no new sum; a permuted order, or
+    # another family under the same first member, forms one and still gets
+    # the right verdict.
+    sums = _count_calls(monkeypatch, superop, "_effect_pair")
+    gen = rng(317)
+    for d in (2, 3, 4):
+        inst = unsharp_instrument(gen, d, 3)
+        members = [inst.op(x) for x in inst.outcomes]
+        b = rand_operation(gen, d)
+        tail = r.summed(inst, ["e1", "e2"])
+        for m in (b, tail):
+            r.classify(m)
+        want = {j: (_ref_bayes(lambda x, y: (x, y), members, b, j), _ref_bayes(lambda x, y: (y, x), members, b, j))
+                for j in range(3)}
+        sums.clear()
+        for j in range(3):
+            assert (r.bayes_retrodict(members, b, j), r.bayes_predict(list(members), b, j)) == want[j]
+        assert len(sums) == 0
+        permuted = [members[1], members[0], members[2]]
+        assert r.bayes_retrodict(permuted, b, 1) == _ref_bayes(lambda x, y: (x, y), permuted, b, 1)
+        assert len(sums) == 1
+        assert r.bayes_predict([members[0], tail], b, 0) == _ref_bayes(lambda x, y: (y, x), [members[0], tail], b, 0)
+        assert len(sums) == 2
+        with pytest.raises(r.NotResolution):
+            r.bayes_retrodict(members[:2], b, 0)
+        assert len(sums) == 3
+        assert r.bayes_retrodict(members, b, 2) == want[2][0]
+        assert len(sums) == 4
+        assert r.bayes_retrodict(members, b, 2) == want[2][0]
+        assert len(sums) == 4
+        assert all(len(_families(m)) <= 1 for m in members + [tail])
+
+
+def test_a_non_resolution_raises_on_every_call_with_its_numbers(monkeypatch):
+    sums = _count_calls(monkeypatch, superop, "_effect_pair")
+    half = r.scale(r.unit(3), 0.5)
+    b = r.unit(3)
+    for m in (half, b):
+        for tol in (1e-9, 1e-3):
+            r.classify(m, tol)
+    sums.clear()
+    for tol in (1e-9, 1e-9, 1e-3, 1e-9):
+        with pytest.raises(r.NotResolution) as info:
+            r.bayes_predict([half], b, 0, tol=tol)
+        e = info.value
+        assert str(e) == (
+            "members must sum to a trivial operation; |sum(I) - I| = 5.000e-01, |adjoint(sum)(I) - I| = 5.000e-01"
+        )
+        assert (e.dev_in, e.dev_out, e.bound) == (0.5, 0.5, 10 * tol)
+    assert len(sums) == 1
+    # A deviation the bound at a looser tol allows passes there, and still
+    # fails at the default tol, from the same kept pair.
+    near = [r.scale(r.unit(2), 1.0 - 1e-6)]
+    assert r.bayes_retrodict(near, r.unit(2), 0, tol=1e-6) == 1.0
+    with pytest.raises(r.NotResolution) as info:
+        r.bayes_retrodict(near, r.unit(2), 0)
+    assert info.value.dev_out == info.value.dev_in == pytest.approx(1e-6)
+
+
+def _reaches(root, target) -> bool:
+    """True iff ``target`` is reachable from ``root`` by strong references."""
+    seen, todo = set(), [root]
+    while todo:
+        obj = todo.pop()
+        if obj is target:
+            return True
+        if id(obj) not in seen:
+            seen.add(id(obj))
+            todo.extend(gc.get_referents(obj))
+    return False
+
+
+def test_kept_sums_and_states_are_bounded_and_hold_no_cycle():
+    gen = rng(318)
+    # One slot per map: 1,000 distinct resolutions under unit(d) leave one
+    # family on it, and the slot keeps none of their other members alive.
+    for d in (2, 3):
+        head, b = r.unit(d), rand_operation(gen, d)
+        tails = [r.zero(d) for _ in range(1000)]
+        for t in tails:
+            assert r.bayes_retrodict([head, t], b, 0) == 1.0
+        assert len(_families(head)) == 1
+        refs = [weakref.ref(t) for t in tails]
+        del tails, t
+        assert all(ref() is None for ref in refs)
+    # A member repeated in its own family, and two families over the same
+    # maps in both orders: no map's memo reaches the map.
+    half = r.scale(r.unit(2), 0.5)
+    other = r.scale(r.unitary(rand_unitary(gen, 2)), 0.5)
+    for res in ([half, half], [half, other], [other, half]):
+        r.bayes_predict(res, r.unit(2), 1)
+    r.state_prior(half)
+    for m in (half, other):
+        assert len(_families(m)) == 1
+        assert not _reaches(m._memo, m)
+    # An instrument built from fresh maps, queried and deleted, frees its
+    # first component by reference counting alone.
+    old = gc.isenabled()
+    gc.disable()
+    try:
+        inst = unsharp_instrument(gen, 3, 3)
+        members = [inst.op(x) for x in inst.outcomes]
+        r.bayes_retrodict(members, members[1], 0)
+        r.bayes_predict(members[::-1], members[0], 2)
+        r.state_of_instrument(inst, ["e0", "e1"], "posterior")
+        r.state_prior(members[0])
+        ref = weakref.ref(members[0])
+        del inst, members
+        assert ref() is None
+    finally:
+        if old:
+            gc.enable()
 
 
 def test_event_weights_are_computed_once_per_map(monkeypatch):
@@ -374,3 +543,18 @@ def test_each_simulator_call_checks_its_steps_and_prior_once(monkeypatch, eig_ca
             assert len(entry) == 1
             assert [v for v in dims if v is steps] == [steps]
             assert len(eig_calls) == (prior is not None)
+
+
+def test_each_exact_call_takes_each_steps_summed_map_once(monkeypatch):
+    # estimate runs the exact forward loop twice; both runs read the summed
+    # maps taken once per call, one per step.
+    totals = _count_calls(monkeypatch, sim, "summed")
+    steps = [z_instrument(), x_instrument()] * 8
+    calls = (
+        lambda: r.estimate(steps, (15, "+"), (0, "+"), 100, seed=1),
+        lambda: r.exact_sequence_probability(steps, {15: "+", 0: "+"}),
+    )
+    for run in calls:
+        totals.clear()
+        run()
+        assert totals == steps
