@@ -31,6 +31,8 @@ class Instrument:
     ops: MappingProxyType = field(repr=False)
     #: Summed operation per event, keyed by the frozenset of its labels; see :func:`summed`.
     _summed: dict = field(default_factory=dict, init=False, repr=False)
+    #: The components side by side for the sampler, built on first use; see :func:`retroops.sim._stack`.
+    _stack: object = field(default=None, init=False, repr=False)
 
     def op(self, label: str) -> Superoperator:
         """The component at ``label``; the one outcome-label check of the

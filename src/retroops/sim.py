@@ -15,24 +15,28 @@ zero-weight branch.
 
 One step is one BLAS product: the node states, read as ``(nodes, d*d)``
 rows, times the instrument's components side by side, ``(d*d, K*d*d)``,
-give every node's ``K`` images.  The weights are built outcome-major, one
-contiguous ``(nodes,)`` row per outcome: the real diagonal entries of its
-images added in index order, then clamped at 0.  The cumulative rows are
-``K - 1`` row additions in ``cumsum`` order, and the last is the branch sum
-checked at ``tol / 10``.  A trial's outcome is the number of the first
-``K - 1`` rows with ``u >= c_k[node]``, one 1-D ``take`` and one compare per
-row; the rows never decrease, so this equals the capped count over all
-``K``.  numpy hands a one-row product to gemv, whose bits can differ from
-the same row of a gemm, so a lone node is computed as row 0 of a two-row
-product: a node's images never depend on how many nodes share its step.
+give every node's ``K`` images.  That component stack is built on an
+instrument's first sampled step and kept on the instrument, read-only
+(``K * d**4 * 16`` bytes, as much as its components).  The weights are
+built node-major, ``(nodes, K)``: the real diagonal entries of each image
+added in index order, then clamped at 0.  The cumulative weights are ``K``
+contiguous ``(nodes,)`` rows, each the previous row plus one outcome's
+weights, in ``cumsum`` order, and the last is the branch sum checked at
+``tol / 10``.  A trial's outcome is the number of the first ``K - 1`` rows
+with ``u >= c_k[node]``, one 1-D ``take`` and one compare per row; the rows
+never decrease, so this equals the capped count over all ``K``.  numpy
+hands a one-row product to gemv, whose bits can differ from the same row of
+a gemm, so a lone node is computed as row 0 of a two-row product: a node's
+images never depend on how many nodes share its step.
 
 Trials with one outcome history share a node of the history tree.  The
 sampler yields its trials in chunks of at most ``_CHUNK``, and
 :func:`estimate` keeps only the running counts, so its memory is
 O(chunk * steps) for any trial count.  Within a chunk only occupied nodes
-are kept, renumbered in history order after each step, so a step handles at
-most ``min(chunk, K**s)`` nodes in one batch and node ids stay below
-``chunk * K``.
+are kept, renumbered in history order after every step but the last, so a
+step handles at most ``min(chunk, K**s)`` nodes in one batch and node ids
+stay below ``chunk * K``.  The last step stops once its outcomes are
+selected and their weights checked: nothing reads its children's states.
 
 Randomness comes from a Philox counter-based generator keyed by the 64-bit
 seed.  The uniform variate consumed by trial ``t`` at step ``s`` sits at
@@ -74,6 +78,13 @@ _ZERO_BRANCH = 1e-15
 
 #: Trials per chunk in :func:`estimate`; results do not depend on it.
 _CHUNK = 2**14
+
+#: Largest ``trials * steps`` that :func:`estimate` samples: 2.5 minutes at
+#: the 13.4 million trial-steps per second measured for 3e5 trials over 24
+#: alternating Z/X qubit steps (47 million over 2 steps), on one core of a
+#: 2-CPU host with one BLAS thread.  A step of a larger instrument costs
+#: more: about ``K * d**4`` per node.
+MAX_TRIAL_STEPS = 2 * 10**9
 
 
 @dataclass(frozen=True)
@@ -132,29 +143,37 @@ def _outcome(instruments, step, label) -> int:
 def _stack(inst: Instrument) -> np.ndarray:
     """An instrument's component matrices, transposed and side by side in
     outcome order: one contiguous ``(d*d, K*d*d)`` matrix whose columns
-    ``k*d*d`` to ``(k+1)*d*d - 1`` give a flat state's image under component ``k``."""
-    return np.concatenate([inst.op(label).mat.T for label in inst.outcomes], axis=1)
+    ``k*d*d`` to ``(k+1)*d*d - 1`` give a flat state's image under component ``k``.
+
+    Built on the instrument's first sampled step and kept on it, read-only:
+    an instrument and its components never change.  It holds ``K * d**4``
+    complex entries, ``K * d**4 * 16`` bytes, as many as the components."""
+    if inst._stack is None:
+        mats = np.concatenate([inst.ops[label].mat.T for label in inst.outcomes], axis=1)
+        mats.setflags(write=False)
+        object.__setattr__(inst, "_stack", mats)
+    return inst._stack
 
 
 def _branch_probs(mats: np.ndarray, states: np.ndarray) -> tuple:
     """Branch weights ``(n, K)`` and images ``(n, K, d, d)`` of a stack of
     states ``(n, d, d)`` under an instrument's :func:`_stack` ``mats``.
 
-    Both are views: the weights of an outcome-major ``(K, n)`` array, the
-    images of the one product ``(n, d*d) @ mats``, which for ``n = 1`` is row
-    0 of a two-row product (see the module docstring).
+    The weights are a fresh node-major array; the images are a view of the
+    one product ``(n, d*d) @ mats``, which for ``n = 1`` is row 0 of a
+    two-row product (see the module docstring).
     """
     n, d = states.shape[:2]
     rows = states.reshape(n, d * d)
     images = (np.concatenate((rows, rows)) @ mats)[:1] if n == 1 else rows @ mats
     k_count = mats.shape[1] // (d * d)
-    # diag[k, i] is the real diagonal entry (i, i) of outcome k's image, over all nodes.
-    diag = images.real.reshape(n, k_count, d * d).transpose(1, 2, 0)[:, :: d + 1]
-    weights = diag[:, 0].copy()
+    # diag[j, k, i] is the real diagonal entry (i, i) of node j's image under outcome k.
+    diag = images.real.reshape(n, k_count, d * d)[:, :, :: d + 1]
+    weights = diag[..., 0].copy()
     for i in range(1, d):
-        weights += diag[:, i]
+        weights += diag[..., i]
     np.maximum(0.0, weights, out=weights)
-    return weights.T, images.reshape(n, k_count, d, d)
+    return weights, images.reshape(n, k_count, d, d)
 
 
 def _generator(seed) -> np.random.Generator:
@@ -219,9 +238,11 @@ def _sample_chunk(instruments, rho: np.ndarray, trials: int, gen: np.random.Gene
     ``trials * steps`` uniforms of ``gen``.
 
     ``states`` holds one state per occupied node and ``node`` each trial's
-    node; the occupied children ``node * K + outcome`` are renumbered in order,
-    and a selected branch is one of them, so the ``_ZERO_BRANCH`` floor is
-    checked on their weights.
+    node; after every step but the last, the occupied children
+    ``node * K + outcome`` are renumbered in order and their states built.
+    The selected branches are the occupied children, so the ``_ZERO_BRANCH``
+    floor is checked on their weights; at the last step, on the weights of
+    the selected codes, whose states nothing reads.
     The uniforms and outcomes are held step by step (one contiguous row per
     step), and the outcomes are returned as the ``(trials, steps)`` view.
     """
@@ -229,26 +250,36 @@ def _sample_chunk(instruments, rho: np.ndarray, trials: int, gen: np.random.Gene
     u = gen.random((trials, len(instruments))).T.copy()
     node = np.zeros(trials, dtype=np.int64)
     outcomes = np.zeros((len(instruments), trials), dtype=np.int64)
+    last = len(instruments) - 1
     for s, inst in enumerate(instruments):
         probs, images = _branch_probs(_stack(inst), states)
-        k_count = probs.shape[1]
-        cum = probs.T.copy()
+        n, k_count = probs.shape
+        cum = np.empty((k_count, n))
+        cum[0] = probs[:, 0]
         for k in range(1, k_count):
-            cum[k] += cum[k - 1]
-        bad = np.flatnonzero(np.abs(cum[-1] - 1.0) > tol / 10)
-        if bad.size:
-            raise InvariantViolation(f"branch probabilities sum to {cum[-1, bad[0]]:.12g}, not 1")
+            np.add(cum[k - 1], probs[:, k], out=cum[k])
+        dev = np.abs(cum[-1] - 1.0)
+        if dev.max() > tol / 10:
+            bad = np.flatnonzero(dev > tol / 10)[0]
+            raise InvariantViolation(f"branch probabilities sum to {cum[-1, bad]:.12g}, not 1")
         idx = outcomes[s]
         for k in range(k_count - 1):
             idx += u[s] >= cum[k].take(node)
-        code = node * k_count + idx
-        occupied = np.bincount(code, minlength=probs.size) > 0
-        node = (np.cumsum(occupied) - 1).take(code)
-        flat = np.flatnonzero(occupied)
-        chosen = probs.ravel().take(flat)
-        if np.any(chosen < _ZERO_BRANCH):
+        code = node * k_count
+        code += idx
+        if s < last:
+            # Renumber the occupied children in order; they are the selected branches.
+            flat = np.flatnonzero(np.bincount(code, minlength=probs.size))
+            rank = np.empty(probs.size, dtype=np.int64)
+            rank[flat] = np.arange(flat.size)
+            node = rank.take(code)
+            code = flat
+        chosen = probs.ravel().take(code)
+        if chosen.min() < _ZERO_BRANCH:
             raise ZeroProbabilityBranch("a numerically zero branch was selected")
-        states = images.reshape(-1, *states.shape[1:]).take(flat, axis=0)
+        if s == last:
+            break
+        states = images.reshape(-1, *states.shape[1:]).take(code, axis=0)
         # numpy divides a complex entry by a real one as a multiply by the
         # reciprocal, so scaling the float view gives the quotient's values.
         real = states.view(np.float64)
@@ -274,6 +305,8 @@ def estimate(
     instrument-level conditional probabilities (predictive or retrodictive
     according to the temporal order of the two steps).  Deterministic for a
     fixed seed.  A raw ``prior`` is checked at ``tol``, branch sums at ``tol / 10``.
+    More than :data:`MAX_TRIAL_STEPS` trials times steps is a
+    :class:`ValidationError`, raised before any exact value or draw.
 
     The inputs are checked once, up front; the exact values and the sampler
     then work on the checked steps, outcome indices and start state.  Only
@@ -286,6 +319,8 @@ def estimate(
         raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
     gen = _generator(seed)
     rho = _start(instruments, prior, tol)
+    if trials * len(instruments) > MAX_TRIAL_STEPS:
+        raise ValidationError(f"trials x steps = {trials} x {len(instruments)} exceeds {MAX_TRIAL_STEPS}")
     fixed = []
     for what, pair in (("condition", condition), ("target", target)):
         if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
@@ -306,8 +341,8 @@ def estimate(
     hits = both = 0
     for outcomes in _sample_chunks(instruments, rho, trials, gen, tol):
         mask_c = outcomes[:, c_step] == c_idx
-        hits += int(mask_c.sum())
-        both += int((mask_c & (outcomes[:, t_step] == t_idx)).sum())
+        hits += int(np.count_nonzero(mask_c))
+        both += int(np.count_nonzero(mask_c & (outcomes[:, t_step] == t_idx)))
     if hits == 0:
         raise NoConditionHits("the conditioning outcome never occurred")
     empirical = both / hits

@@ -26,7 +26,9 @@ adjoint map.  The image is checked Hermitian at ``tol``; the
 also its positivity test.  A map never changes, so that one eigensolve
 runs once per (map, direction, tol): the validated, read-only
 :class:`DensityMatrix` is kept on the map and returned again.  A state of
-an instrument's event is kept on the summed map of the event.
+an instrument's event is kept on the summed map of the event.  The
+effect pair of :func:`effects_of`, two :class:`Effect` values with one
+eigensolve each, is kept the same way, per (map, tol).
 """
 
 from __future__ import annotations
@@ -138,9 +140,11 @@ def state_of_instrument(inst, event, direction: str = "prior", tol: float = DEFA
 
 
 def effects_of(a: Superoperator, tol: float = DEFAULT_TOL) -> tuple:
-    """The effect pair ``(sum M_k* M_k, sum M_k M_k*)`` of an operation."""
+    """The effect pair ``(sum M_k* M_k, sum M_k M_k*)`` of an operation;
+    computed once per (map, tol) and kept on the map, like the inferred
+    states.  A failing pair is not kept, so it raises on every call."""
     _require_operation(a, tol, "argument")
-    return tuple(Effect(m, tol) for m in _effect_pair(a.dim, a.mat))
+    return _memoised(a, "effects", tol, lambda a, tol: tuple(Effect(m, tol) for m in _effect_pair(a.dim, a.mat)))
 
 
 def expect(rho: DensityMatrix, obs, tol: float = DEFAULT_TOL) -> float:

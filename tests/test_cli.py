@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import retroops as r
-from retroops import cli, superop
+from retroops import cli, sim, superop
 from retroops.errors import ParseError, ValidationError
 
 from helpers import goldens
@@ -73,6 +73,19 @@ def test_step_index_takes_ascii_digits_only(capsys, target):
     assert cli.main(argv) == cli.EXIT_VALIDATION
     assert json.loads(capsys.readouterr().out) == {
         "error": "ValidationError", "message": f"--target must look like STEP:OUTCOME, got {target!r}"
+    }
+
+
+def test_oversized_trial_count_exits_2(monkeypatch, capsys):
+    # 1e11 trials over 2 steps would sample for hours; the limit on
+    # trials x steps refuses them before the sampler starts.
+    monkeypatch.setattr(sim, "_sample_chunks", None)
+    argv = ["--scenario", QUBIT, "--json", "--trials", "100000000000", "simulate", "--steps", "Z", "X",
+            "--condition", "1:+", "--target", "0:+"]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ValidationError",
+        "message": f"trials x steps = 100000000000 x 2 exceeds {sim.MAX_TRIAL_STEPS}",
     }
 
 

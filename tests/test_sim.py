@@ -9,7 +9,13 @@ import pytest
 
 import retroops as r
 from retroops import sim
-from retroops.errors import InvariantViolation, NoConditionHits, ValidationError, ZeroCondition
+from retroops.errors import (
+    InvariantViolation,
+    NoConditionHits,
+    ValidationError,
+    ZeroCondition,
+    ZeroProbabilityBranch,
+)
 
 from helpers import (
     PZM,
@@ -136,13 +142,17 @@ def test_estimate_agrees_with_scalar_sampler():
 
 
 class _Uniforms:
-    """A generator stub whose ``random(shape)`` returns the given uniforms."""
+    """A generator stub whose ``random(shape)`` returns the next ``shape`` of
+    the given uniforms, read in order, as consecutive Philox draws are."""
 
     def __init__(self, values):
-        self.values = np.array(values, dtype=float)
+        self.values = np.array(values, dtype=float).ravel()
+        self.used = 0
 
     def random(self, shape):
-        return self.values.reshape(shape)
+        start = self.used
+        self.used += int(np.prod(shape))
+        return self.values[start : self.used].reshape(shape)
 
 
 def test_selection_at_exact_ties():
@@ -159,6 +169,42 @@ def test_selection_at_exact_ties():
         outcomes = _outcome_matrix(insts, None, len(u), _Uniforms(u))
         assert outcomes.tolist() == want
         assert [scalar_outcomes(insts, rho, row) for row in u] == want
+
+
+def test_zero_branch_floor_at_a_middle_and_the_last_step(monkeypatch):
+    # The prior diag(1 - 4e-16, 4e-16) is a density matrix, and a Z step gives
+    # its "-" branch the weight 4e-16, under the 1e-15 floor.  The 9th trial's
+    # uniform lands in that branch, at a middle step and at the last one,
+    # which stops after selecting outcomes; the first 8 trials' do not.  The
+    # error is the same for every chunk size.
+    z = z_instrument()
+    keep = r.make_instrument({"1": r.unit(2)}, name="keep")
+    tiny = np.diag([1 - 4e-16, 4e-16]).astype(complex)
+    top = np.nextafter(1.0, 0.0)
+    fine = [[0.5, 0.5]] * 8
+    for insts, row in (([z, keep], [top, 0.5]), ([keep, z], [0.5, top])):
+        assert _outcome_matrix(insts, tiny, 8, _Uniforms(fine)).tolist() == [[0, 0]] * 8
+        errors = _chunk_runs(monkeypatch, lambda: _outcome_matrix(insts, tiny, 9, _Uniforms(fine + [row])), 9)
+        assert errors == [(ZeroProbabilityBranch, "a numerically zero branch was selected")] * 4
+
+
+def test_sampled_work_is_limited_before_any_draw(monkeypatch):
+    # Over MAX_TRIAL_STEPS the call is refused with both numbers, before an
+    # exact value is computed or a uniform drawn; the largest sampled run of
+    # the tests and the benchmark, 3e5 trials over 24 steps, is 277 times
+    # smaller.
+    assert sim.MAX_TRIAL_STEPS >= 277 * 300_000 * 24
+    z, x = z_instrument(), x_instrument()
+
+    def untouched(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(sim, "_forward", untouched)
+    monkeypatch.setattr(sim, "_sample_chunks", untouched)
+    for steps, trials in (([z, x], 10**11), ([z, x, z], sim.MAX_TRIAL_STEPS // 3 + 1)):
+        with pytest.raises(ValidationError) as e:
+            r.estimate(steps, (1, "+"), (0, "+"), trials)
+        assert str(e.value) == f"trials x steps = {trials} x {len(steps)} exceeds {sim.MAX_TRIAL_STEPS}"
 
 
 def test_deep_sequence_occupied_nodes_only():

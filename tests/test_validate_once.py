@@ -7,12 +7,14 @@ formula.  ``classify``, the CP verdict it shares with ``is_cp`` and
 ``classify`` does not build) are memoised on the map per tolerance,
 ``event_weight`` is memoised per map, and ``summed`` returns one map per
 (instrument, event).  An inferred ``DensityMatrix`` is kept per (map,
-direction, tolerance), and a failing one is not kept.  The trivial-sum
+direction, tolerance), the effect pair of ``effects_of`` per (map,
+tolerance), and a failing one is not kept.  The trivial-sum
 check keeps the deviation pair of one family on its first member, so Bayes
 over an instrument's members in outcome order forms no new sum; the slot
 is one per map, holds the other members weakly and forms no cycle, and the
 comparison with ``10 * tol`` runs on every call.  The exact forward loop
-of the simulator takes each step's summed map once per call.  Eigensolves
+of the simulator takes each step's summed map once per call, and the
+sampler builds each instrument's component stack once.  Eigensolves
 and sums are counted by wrapping ``hermitian_eig`` and ``_effect_pair`` in
 every module of the package that binds them.
 """
@@ -558,3 +560,59 @@ def test_each_exact_call_takes_each_steps_summed_map_once(monkeypatch):
         totals.clear()
         run()
         assert totals == steps
+
+
+def test_effect_pair_is_kept_per_map_and_tolerance(eig_calls):
+    # The first call makes the pair's two eigensolves; a repeat call makes
+    # none and returns the same read-only matrices.  Another tolerance is
+    # another pair.
+    gen = rng(317)
+    for d in (2, 3, 5):
+        a = rand_operation(gen, d)
+        r.classify(a)
+        eig_calls.clear()
+        pair = r.effects_of(a)
+        assert len(eig_calls) == 2
+        eig_calls.clear()
+        again = r.effects_of(a)
+        assert len(eig_calls) == 0
+        assert again is pair and all(e.matrix is f.matrix for e, f in zip(again, pair))
+        assert not any(e.matrix.flags.writeable for e in pair)
+        r.classify(a, 1e-8)
+        eig_calls.clear()
+        other = r.effects_of(a, 1e-8)
+        assert len(eig_calls) == 2 and other is not pair
+
+
+def test_a_failing_effect_pair_is_not_kept():
+    # A map that is not an operation raises before any pair is formed, on
+    # every call, and keeps nothing.
+    gen = rng(318)
+    a = r.scale(rand_operation(gen, 3), 2.0)
+    for _ in range(2):
+        with pytest.raises(r.NotOperation):
+            r.effects_of(a)
+    assert not [key for key in a._memo if key[0] == "effects"]
+
+
+def test_estimates_build_each_instruments_stack_once(monkeypatch):
+    # The sampler's component stack, (d*d, K*d*d), is built on an
+    # instrument's first sampled step and kept on it, read-only: two estimate
+    # calls over 12 steps of two instruments, in 3 chunks each, build 2.
+    stacks = []
+    concatenate = np.concatenate
+
+    def counted(arrays, axis=0, **kwargs):
+        if axis == 1:
+            stacks.append(len(arrays))
+        return concatenate(arrays, axis=axis, **kwargs)
+
+    monkeypatch.setattr(np, "concatenate", counted)
+    monkeypatch.setattr(sim, "_CHUNK", 40)
+    z, x = z_instrument(), x_instrument()
+    reports = [r.estimate([z, x] * 6, (11, "+"), (0, "+"), 100, seed=3) for _ in range(2)]
+    assert reports[0] == reports[1]
+    assert stacks == [2, 2]
+    for inst in (z, x):
+        assert sim._stack(inst) is inst._stack and not inst._stack.flags.writeable
+        assert np.array_equal(inst._stack, concatenate([inst.op(k).mat.T for k in inst.outcomes], axis=1))
