@@ -30,7 +30,11 @@ twice.  Each object holds only the keys it reads, or the scenario is a
   ``sum`` builders and ``weights`` for ``sum``.
 
 Every entry of :data:`COMMANDS`, ``run`` included, takes ``(scenario,
-args, tol)``, where ``args`` is a namespace :data:`PARSER` returned.
+args, tol)``, where ``args`` is a namespace :data:`PARSER` returned.  A task
+of ``run`` is parsed once, by its command's own subparser of :data:`PARSER`,
+into a namespace that holds the root options' defaults (``scenario``,
+``tol``, ``seed``, ``trials``, ``json``), ``command`` and the command's
+arguments: the namespace ``PARSER.parse_args([command, *args])`` gives.
 
 Exit codes: 0 success, 2 parse/validation failure, 3 numerical invariant
 violation.  ``--json`` switches output from the human-readable rendering to
@@ -46,7 +50,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -279,7 +283,7 @@ def _check_residuals(residuals: dict, tol: float) -> None:
 def cmd_check(scn: Scenario, args, tol: float) -> dict:
     op = scn.operation(args.name)
     cls = superop.classify(op, tol)
-    return {"name": args.name, "tolerance": tol, "classification": asdict(cls)}
+    return {"name": args.name, "tolerance": tol, "classification": dict(vars(cls))}
 
 
 def cmd_kraus(scn: Scenario, args, tol: float) -> dict:
@@ -339,7 +343,7 @@ def cmd_reverse(scn: Scenario, args, tol: float) -> dict:
     report = {
         "name": args.name,
         "tolerance": tol,
-        "classification": asdict(superop.classify(rev, tol)),
+        "classification": dict(vars(superop.classify(rev, tol))),
         "tensor": serialize_matrix(rev.mat),
     }
     if args.against is not None:
@@ -403,12 +407,14 @@ def cmd_simulate(scn: Scenario, args, tol: float) -> dict:
         "target": {"step": target[0], "outcome": target[1]},
         "seed": args.seed,
         "tolerance": tol,
-        "report": asdict(report),
+        "report": dict(vars(report)),
     }
 
 
 def cmd_run(scn: Scenario, args, tol: float) -> dict:
-    """Run the scenario's tasks, each parsed by :data:`PARSER`."""
+    """Run the scenario's tasks, each parsed by its command's subparser of
+    :data:`PARSER` (see :func:`_parse_task`).  A task argument must be a
+    string or a finite JSON number, which is passed as its ``str``."""
     reports = []
     for k, task in enumerate(scn.tasks):
         if not isinstance(task, dict) or not isinstance(task.get("command"), str):
@@ -421,8 +427,10 @@ def cmd_run(scn: Scenario, args, tol: float) -> dict:
         task_args = task.get("args", [])
         if not isinstance(task_args, list):
             raise ValidationError(f"task {k}: 'args' must be a list, got {task_args!r}")
-        argv = [task["command"], *[str(x) for x in task_args]]
-        sub = _parse_task(argv, k)
+        for j, x in enumerate(task_args):
+            if not (isinstance(x, str) or _is_finite(x)):
+                raise ValidationError(f"task {k}: argument {j} must be a string or a finite number, got {x!r}")
+        sub = _parse_task(task["command"], [str(x) for x in task_args], k)
         # The root options are not accepted after a subcommand, so a task
         # always takes --seed and --trials from the parent command line.
         sub.seed, sub.trials = args.seed, args.trials
@@ -430,14 +438,22 @@ def cmd_run(scn: Scenario, args, tol: float) -> dict:
     return {"tolerance": tol, "tasks": reports}
 
 
-def _parse_task(argv: list, k: int) -> argparse.Namespace:
-    """``PARSER.parse_args(argv)`` for task ``k``.  Where argparse would print
-    help or a usage error and exit, which would end ``run`` without a report,
-    the task is a :class:`ValidationError` carrying argparse's message."""
+def _parse_task(command: str, args: list, k: int) -> argparse.Namespace:
+    """Task ``k``'s namespace: ``args`` parsed once by ``command``'s subparser
+    of :data:`PARSER`, into the root defaults with ``command`` set, so it
+    holds what ``PARSER.parse_args([command, *args])`` would.  A string the
+    subparser leaves over is the root's ``unrecognized arguments`` error.
+    Where argparse would print help or a usage error and exit, which would
+    end ``run`` without a report, the task is a :class:`ValidationError`
+    carrying argparse's message."""
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-            return PARSER.parse_args(argv)
+            namespace = argparse.Namespace(**_ROOT_DEFAULTS, command=command)
+            namespace, extra = _SUBPARSERS[command].parse_known_args(args, namespace)
+            if extra:
+                PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
+            return namespace
     except SystemExit as e:
         if e.code == 0:
             raise ValidationError(f"task {k}: asks for help; a task must be a command to run") from None
@@ -517,6 +533,14 @@ def _command_parser() -> argparse.ArgumentParser:
 #: The command line grammar, built once: ``parse_args`` leaves a parser as it
 #: was, so ``main`` and every task of ``run`` share it.
 PARSER = _command_parser()
+
+#: Each command's own parser: the ``choices`` of :data:`PARSER`'s subparsers action.
+_SUBPARSERS = next(a for a in PARSER._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+#: The root options' defaults, which a task's namespace starts from.
+_ROOT_DEFAULTS = {
+    a.dest: a.default for a in PARSER._actions if a.option_strings and a.default is not argparse.SUPPRESS
+}
 
 
 def _human_lines(report: dict) -> list:

@@ -79,12 +79,15 @@ _ZERO_BRANCH = 1e-15
 #: Trials per chunk in :func:`estimate`; results do not depend on it.
 _CHUNK = 2**14
 
-#: Largest ``trials * steps`` that :func:`estimate` samples: 2.5 minutes at
-#: the 13.4 million trial-steps per second measured for 3e5 trials over 24
-#: alternating Z/X qubit steps (47 million over 2 steps), on one core of a
-#: 2-CPU host with one BLAS thread.  A step of a larger instrument costs
-#: more: about ``K * d**4`` per node.
-MAX_TRIAL_STEPS = 2 * 10**9
+#: Largest sampled work ``trials * sum_s K_s * d**4`` that :func:`estimate`
+#: takes on, for steps of ``K_s`` outcomes on ``d x d`` matrices: a step
+#: costs about ``K * d**4`` per node.  It is the ``2 * 10**9`` trial-steps of
+#: d = 2, K = 2 (32 per trial-step), about 2.5 minutes at the 13.4 million
+#: trial-steps per second measured for 3e5 trials over 24 alternating Z/X
+#: qubit steps, on one core of a 2-CPU host with one BLAS thread.  It allows
+#: about 2e6 trial-steps at d = 8, K = 8 (7 s at 280k per second) and 6e4 at
+#: d = 16, K = 16 (5 s at 13.4k per second).
+MAX_SAMPLED_WORK = 64 * 10**9
 
 
 @dataclass(frozen=True)
@@ -305,8 +308,9 @@ def estimate(
     instrument-level conditional probabilities (predictive or retrodictive
     according to the temporal order of the two steps).  Deterministic for a
     fixed seed.  A raw ``prior`` is checked at ``tol``, branch sums at ``tol / 10``.
-    More than :data:`MAX_TRIAL_STEPS` trials times steps is a
-    :class:`ValidationError`, raised before any exact value or draw.
+    More than :data:`MAX_SAMPLED_WORK` trials times ``K * d**4`` summed
+    over the steps is a :class:`ValidationError`, raised before any exact
+    value or draw.
 
     The inputs are checked once, up front; the exact values and the sampler
     then work on the checked steps, outcome indices and start state.  Only
@@ -319,8 +323,9 @@ def estimate(
         raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
     gen = _generator(seed)
     rho = _start(instruments, prior, tol)
-    if trials * len(instruments) > MAX_TRIAL_STEPS:
-        raise ValidationError(f"trials x steps = {trials} x {len(instruments)} exceeds {MAX_TRIAL_STEPS}")
+    work = sum(len(inst.outcomes) for inst in instruments) * len(rho) ** 4
+    if trials * work > MAX_SAMPLED_WORK:
+        raise ValidationError(f"trials x sum of K*d**4 = {trials} x {work} exceeds {MAX_SAMPLED_WORK}")
     fixed = []
     for what, pair in (("condition", condition), ("target", target)):
         if not (isinstance(pair, (tuple, list)) and len(pair) == 2):

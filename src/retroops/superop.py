@@ -326,8 +326,11 @@ def _kraus_factor(a: Superoperator, tol: float) -> KrausSet:
     """Kraus matrices of a CP map from a pivoted Cholesky factor ``C = L L*``
     of its Choi matrix ``C = sum_k vec(M_k) vec(M_k)*``: each step takes the
     column of the largest remaining diagonal entry, stops once that entry is
-    ``<= tol``, and otherwise removes the column's rank-1 part.  Read-only."""
-    c = _require_hermitian(reshuffle(a).mat, tol)
+    ``<= tol``, and otherwise removes the column's rank-1 part.  Read-only.
+    :func:`extract_kraus` has passed :func:`is_cp` on the same Choi matrix at
+    ``tol``, so the factor starts from its Hermitian part without a second check."""
+    c = reshuffle(a).mat
+    c = (c + c.conj().T) / 2.0
     ops = []
     while True:
         diag = c.diagonal().real

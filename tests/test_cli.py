@@ -1,8 +1,10 @@
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
 from pathlib import Path
 
@@ -77,15 +79,16 @@ def test_step_index_takes_ascii_digits_only(capsys, target):
 
 
 def test_oversized_trial_count_exits_2(monkeypatch, capsys):
-    # 1e11 trials over 2 steps would sample for hours; the limit on
-    # trials x steps refuses them before the sampler starts.
+    # 1e11 trials over 2 steps would sample for hours; the limit on sampled
+    # work, trials x K*d**4 summed over the steps, refuses them before the
+    # sampler starts.
     monkeypatch.setattr(sim, "_sample_chunks", None)
     argv = ["--scenario", QUBIT, "--json", "--trials", "100000000000", "simulate", "--steps", "Z", "X",
             "--condition", "1:+", "--target", "0:+"]
     assert cli.main(argv) == cli.EXIT_VALIDATION
     assert json.loads(capsys.readouterr().out) == {
         "error": "ValidationError",
-        "message": f"trials x steps = 100000000000 x 2 exceeds {sim.MAX_TRIAL_STEPS}",
+        "message": f"trials x sum of K*d**4 = 100000000000 x 64 exceeds {sim.MAX_SAMPLED_WORK}",
     }
 
 
@@ -375,6 +378,91 @@ def test_run_rejects_a_task_argparse_would_exit_on(tmp_path, task, message):
     assert proc.returncode == cli.EXIT_VALIDATION
     assert json.loads(proc.stdout) == {"error": "ValidationError", "message": message}
     assert proc.stderr == ""
+
+
+_VALID_TASKS = [
+    ["check", "pz+"],
+    ["kraus", "deph"],
+    ["prob", "--pred", "px+", "pz+"],
+    ["prob", "--pre", "px+", "pz+"],
+    ["prob", "--prior", "pz+"],
+    ["bayes", "pz+", "pz-", "--condition", "px+", "--index", "-1"],
+    ["reverse", "py+", "px+"],
+    ["reverse", "--", "px+"],
+    ["state", "pz+", "--posterior"],
+    ["state", "--instrument", "X", "--event", "+"],
+    ["simulate", "--steps", "Z", "X", "--condition", "1:+", "--target", "0:+"],
+    ["check", "--", "pz+"],
+]
+
+_BAD_TASKS = [
+    ["check"],
+    ["check", "pz+", "extra"],
+    ["check", "pz+", "--seed", "5"],
+    ["check", "pz+", "--json"],
+    ["bayes", "pz+", "--condition", "px+", "--index", "x"],
+    ["state", "pz+", "--prior", "--posterior"],
+    ["prob", "--pred", "px+"],
+    ["check", "-h"],
+]
+
+
+def _root_parse(argv, k):
+    """What ``PARSER.parse_args(argv)`` gives: its namespace's attributes, or
+    the task message its exit stands for."""
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(out):
+            return vars(cli.PARSER.parse_args(argv))
+    except SystemExit as e:
+        if e.code == 0:
+            return f"task {k}: asks for help; a task must be a command to run"
+        return f"task {k}: {out.getvalue().strip().splitlines()[-1]}"
+
+
+@pytest.mark.parametrize("argv", _VALID_TASKS + _BAD_TASKS, ids=" ".join)
+def test_a_task_parses_as_the_root_parser_would(argv):
+    # A task is parsed once, by its command's subparser; its namespace, or
+    # its message, is the one the whole command line grammar gives.
+    expected = _root_parse(argv, 3)
+    try:
+        got = vars(cli._parse_task(argv[0], argv[1:], 3))
+    except ValidationError as e:
+        got = str(e)
+    assert got == expected
+    assert isinstance(expected, dict) == (argv in _VALID_TASKS)
+
+
+def test_a_task_abbreviation_is_read_by_its_command_alone():
+    # The command line refuses "--s" after a subcommand as ambiguous between
+    # the root's --scenario and --seed; a task has none of the root options,
+    # so its command reads "--s" as --steps.
+    args = ["--s", "Z", "--condition", "0:+", "--target", "0:+"]
+    assert _root_parse(["simulate", *args], 0) == (
+        "task 0: retroops: error: ambiguous option: --s could match --scenario, --seed"
+    )
+    assert cli._parse_task("simulate", args, 0).steps == ["Z"]
+
+
+@pytest.mark.parametrize("arg", [None, True, ["pz+"], {"a": 1}, float("nan"), float("inf")],
+                         ids=["null", "true", "array", "object", "nan", "inf"])
+def test_a_task_argument_must_be_a_string_or_a_finite_number(tmp_path, capsys, arg):
+    # str() would make null the operation name 'None' and an array "['pz+']".
+    bayes = ["pz+", "pz-", "--condition", "px+", "--index", arg]
+    path = _scenario_with_tasks(tmp_path, [{"command": "check", "args": ["pz+"]}, {"command": "bayes", "args": bayes}])
+    assert cli.main(["--scenario", path, "--json", "run"]) == cli.EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ValidationError",
+        "message": f"task 1: argument 5 must be a string or a finite number, got {arg!r}",
+    }
+
+
+def test_a_numeric_task_argument_is_passed_as_its_str(tmp_path, capsys):
+    path = _scenario_with_tasks(tmp_path, [
+        {"command": "bayes", "args": ["pz+", "pz-", "--condition", "px+", "--index", 0]},
+    ])
+    assert cli.main(["--scenario", path, "--json", "run"]) == 0
+    assert json.loads(capsys.readouterr().out)["tasks"] == [golden("bayes_z_given_x.json")]
 
 
 _THREE = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]

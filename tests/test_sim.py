@@ -189,11 +189,12 @@ def test_zero_branch_floor_at_a_middle_and_the_last_step(monkeypatch):
 
 
 def test_sampled_work_is_limited_before_any_draw(monkeypatch):
-    # Over MAX_TRIAL_STEPS the call is refused with both numbers, before an
-    # exact value is computed or a uniform drawn; the largest sampled run of
-    # the tests and the benchmark, 3e5 trials over 24 steps, is 277 times
-    # smaller.
-    assert sim.MAX_TRIAL_STEPS >= 277 * 300_000 * 24
+    # Over MAX_SAMPLED_WORK, trials times K * d**4 summed over the steps,
+    # the call is refused with both numbers, before an exact value is
+    # computed or a uniform drawn; the largest sampled run of the tests and
+    # the benchmark, 3e5 qubit trials over 24 two-outcome steps, is 277
+    # times smaller.
+    assert sim.MAX_SAMPLED_WORK >= 277 * 300_000 * 24 * 2 * 2**4
     z, x = z_instrument(), x_instrument()
 
     def untouched(*args):
@@ -201,10 +202,27 @@ def test_sampled_work_is_limited_before_any_draw(monkeypatch):
 
     monkeypatch.setattr(sim, "_forward", untouched)
     monkeypatch.setattr(sim, "_sample_chunks", untouched)
-    for steps, trials in (([z, x], 10**11), ([z, x, z], sim.MAX_TRIAL_STEPS // 3 + 1)):
+    for steps, trials in (([z, x], 10**11), ([z, x, z], sim.MAX_SAMPLED_WORK // 96 + 1)):
         with pytest.raises(ValidationError) as e:
             r.estimate(steps, (1, "+"), (0, "+"), trials)
-        assert str(e.value) == f"trials x steps = {trials} x {len(steps)} exceeds {sim.MAX_TRIAL_STEPS}"
+        work = 32 * len(steps)
+        assert str(e.value) == f"trials x sum of K*d**4 = {trials} x {work} exceeds {sim.MAX_SAMPLED_WORK}"
+
+
+def test_sampled_work_limit_refuses_large_instruments_at_few_trial_steps(monkeypatch):
+    # At d = 16, K = 16 one trial-step is 16 * 16**4 = 2**20 units of work,
+    # so 1e5 trials over 4 steps, 4e5 trial-steps, are refused at once.
+    part = r.scale(r.unit(16), 1 / 16)
+    big = r.make_instrument({str(k): part for k in range(16)}, name="big")
+
+    def untouched(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(sim, "_forward", untouched)
+    monkeypatch.setattr(sim, "_sample_chunks", untouched)
+    with pytest.raises(ValidationError) as e:
+        r.estimate([big] * 4, (1, "0"), (0, "0"), 10**5)
+    assert str(e.value) == f"trials x sum of K*d**4 = 100000 x {4 * 2**20} exceeds {sim.MAX_SAMPLED_WORK}"
 
 
 def test_deep_sequence_occupied_nodes_only():

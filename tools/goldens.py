@@ -27,6 +27,7 @@ GOLDEN = ROOT / "tests" / "golden"
 QUBIT = "tests/fixtures/qubit.json"
 OFFSUM = "tests/fixtures/offsum.json"
 TYPO = "tests/fixtures/typo.json"
+TASK_EXTRA = "tests/fixtures/task_extra.json"
 
 #: (golden file, exit code, arguments); paths are relative to the repository root.
 CASES = [
@@ -49,6 +50,7 @@ CASES = [
     ("prob_prior.json", 0, ["--scenario", QUBIT, "--json", "prob", "--prior", "pz+"]),
     ("bayes_human.txt", 0, ["--scenario", QUBIT, "bayes", "pz+", "pz-", "--condition", "px+", "--index", "0"]),
     ("error_unknown_key.json", 2, ["--scenario", TYPO, "--json", "check", "h"]),
+    ("error_task_extra.json", 2, ["--scenario", TASK_EXTRA, "--json", "run"]),
 ]
 
 
