@@ -38,8 +38,9 @@ def _conditional(a: Superoperator, b: Superoperator, joint: tuple, tol: float, c
     """``event_weight(compose(*joint)) / event_weight(b)`` for operations
     ``a`` and ``b``, clamped to ``[0, 1]``; ``joint`` is the caller's
     composition order.  The joint weight is read from the raw product of
-    the two checked maps, and :func:`_as_probability` rejects a non-finite
-    quotient, which only maps passed with ``check=False`` can overflow to."""
+    the two checked maps, once per ordered pair, and
+    :func:`_as_probability` rejects a non-finite quotient, which only maps
+    passed with ``check=False`` can overflow to."""
     if check:
         _require_operation(a, tol, "first argument")
         _require_operation(b, tol, "second argument")
@@ -84,7 +85,8 @@ def _bayes(joint, a_list, b: Superoperator, j: int, tol: float) -> float:
 
     The members and ``b`` are checked once, up front, so each term is
     computed as :func:`p_pred` (or :func:`p_retro`) and :func:`p_prior`
-    compute it, reading each member's event weight once.  A member of zero
+    compute it, reading each member's event weight and each joint once, so
+    the posteriors of all ``K`` members cost ``K`` joints.  A member of zero
     event weight has ``p_prior`` 0, so its term is 0.  An index ``j``
     outside ``range(len(a_list))`` is a :class:`ValidationError`.
     """

@@ -53,12 +53,17 @@ shares with :func:`is_cp` and :func:`extract_kraus` are computed once per
 :func:`extract_kraus` asks for it; :func:`classify` builds none.
 :func:`event_weight` takes no tolerance and is kept once per map; the
 states inferred from the identity's two images (:mod:`retroops.states`)
-are kept per (map, direction, tolerance).  The trivial-sum check keeps
+are kept per (map, direction, tolerance).  The joint weight
+``event_weight(compose(a, b))`` that every conditional probability and
+Bayes term reads is kept once per ordered pair, on ``a``, in a weak
+reference to ``b`` whose callback drops the entry when ``b`` dies, so an
+entry lives no longer than either map.  The trivial-sum check keeps
 the deviation pair of one family on its first member, next to weak
-references to the other members, so a map holds at most one family,
-keeps no other member alive and forms no reference cycle.  Two threads
-racing on a first call may both compute the value; they store equal
-results.
+references to the other members, so a map holds at most one family.
+No kept value keeps another map alive or reaches its own map, so no
+reference cycle forms.  :func:`adjoint` inherits the classification and
+the CP verdict, never a joint.  Two threads racing on a first call may
+both compute the value; they store equal results.
 """
 
 from __future__ import annotations
@@ -238,17 +243,20 @@ def adjoint(a: Superoperator) -> Superoperator:
     """Adjoint for the trace inner product; the conjugate transpose in storage.
 
     This is the paper's time reversal.  Each :func:`classify` record kept on
-    ``a`` is copied with ``sub_unital`` and ``sub_tracial`` swapped, so the
-    adjoint is classified with no eigensolve.  That is sound: its storage
+    ``a`` is copied with ``sub_unital`` and ``sub_tracial`` swapped, and each
+    CP verdict as it is, so the adjoint is classified, and its Kraus factor
+    built, with no eigensolve and no second verdict.  That is sound: its storage
     matrix has ``a``'s Hermitian part, its Choi matrix is ``a``'s conjugated
     and index-permuted (same spectrum), and its images of the identity, like
     the two sums of its Kraus family ``{M_k*}``, are ``a``'s swapped.
     """
     _require_kind(a)
     rev = _rearranged(a.dim, np.conjugate(a.mat.T, order="C"))
-    for (check, tol), cls in list(a._memo.items()):
+    for (check, tol), kept in list(a._memo.items()):
         if check == "classify":
-            rev._memo[check, tol] = replace(cls, sub_unital=cls.sub_tracial, sub_tracial=cls.sub_unital)
+            rev._memo[check, tol] = replace(kept, sub_unital=kept.sub_tracial, sub_tracial=kept.sub_unital)
+        elif check == "cp":
+            rev._memo[check, tol] = kept
     return rev
 
 
@@ -272,9 +280,40 @@ def _event_weight(a: Superoperator, _tol) -> complex:
     return complex(np.einsum("bbaa->", a.tensor))
 
 
+class _Joint(weakref.ref):
+    """The joint weight of an ordered pair ``(a, b)``, kept on ``a`` under
+    ``key``: a weak reference to ``b`` whose callback, :func:`_drop_joint`,
+    drops the entry when ``b`` dies.  It reaches ``a`` only weakly, through
+    ``owner``, so no memo reaches its own map.  The slots are set after the
+    C constructor, the cheap one, and before the entry is stored."""
+
+    __slots__ = ("owner", "key", "weight")
+
+
+def _drop_joint(ref: _Joint) -> None:
+    a = ref.owner()
+    if a is not None:
+        a._memo.pop(ref.key, None)
+
+
 def _composed_weight(a: Superoperator, b: Superoperator) -> complex:
-    """``event_weight(compose(a, b))``, to the bit: the same einsum on the raw
-    product, since a product of checked maps needs no second check."""
+    """``event_weight(compose(a, b))``, computed once per ordered pair and kept
+    on ``a`` as a :class:`_Joint`.  A hit needs the entry to refer to this
+    very ``b``; a miss runs :func:`_joint_weight` first, so a non-map
+    argument raises on every call and leaves no entry."""
+    key = ("joint", id(b))
+    kept = a._memo.get(key) if isinstance(a, Superoperator) else None
+    if kept is None or kept() is not b:
+        weight = _joint_weight(a, b)
+        kept = _Joint(b, _drop_joint)
+        kept.owner, kept.key, kept.weight = weakref.ref(a), key, weight
+        a._memo[key] = kept
+    return kept.weight
+
+
+def _joint_weight(a: Superoperator, b: Superoperator) -> complex:
+    """The same einsum as :func:`event_weight` on the raw product, to the bit,
+    since a product of checked maps needs no second check."""
     d = _common_dim((a, b), "superoperators")
     return complex(np.einsum("bbaa->", (a.mat @ b.mat).reshape(d, d, d, d)))
 

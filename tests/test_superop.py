@@ -122,7 +122,8 @@ def test_values_holding_arrays_compare_by_identity():
 def test_rearrangements_equal_their_checked_construction(n):
     # adjoint, reshuffle and conjugate_map skip the entry check; their
     # matrices equal the checked map built from the same rearrangement,
-    # read-only and C-contiguous, and only adjoint inherits a memo entry.
+    # read-only and C-contiguous, and only adjoint inherits memo entries:
+    # the CP verdict and the classification.
     a = rand_superop(rng(320 + n), n)
     r.classify(a)
     t = a.tensor
@@ -135,7 +136,7 @@ def test_rearrangements_equal_their_checked_construction(n):
         assert got.dim == n
         assert np.array_equal(got.mat, r.Superoperator(n, m).mat)
         assert got.mat.flags.c_contiguous and not got.mat.flags.writeable
-        assert [check for check, _ in got._memo] == (["classify"] if f is r.adjoint else [])
+        assert [check for check, _ in got._memo] == (["cp", "classify"] if f is r.adjoint else [])
 
 
 def test_superoperator_immutable():

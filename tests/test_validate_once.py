@@ -12,11 +12,17 @@ tolerance), and a failing one is not kept.  The trivial-sum
 check keeps the deviation pair of one family on its first member, so Bayes
 over an instrument's members in outcome order forms no new sum; the slot
 is one per map, holds the other members weakly and forms no cycle, and the
-comparison with ``10 * tol`` runs on every call.  The exact forward loop
-of the simulator takes each step's summed map once per call, and the
-sampler builds each instrument's component stack once.  Eigensolves
-and sums are counted by wrapping ``hermitian_eig`` and ``_effect_pair`` in
-every module of the package that binds them.
+comparison with ``10 * tol`` runs on every call.  The joint weight of an
+ordered pair ``(a, b)`` is computed once, equal to the bit to the checked
+composition, and kept on ``a`` in a weak reference to ``b`` whose death
+drops the entry; ``(b, a)`` is another entry, ``adjoint`` inherits
+none, a non-map partner raises on every call and leaves none, and no memo
+reaches its map.  ``adjoint`` inherits the CP verdict with the
+classification, so a time reversal's Kraus factor makes no eigensolve.
+The exact forward loop of the simulator takes each step's summed map once
+per call, and the sampler builds each instrument's component stack once.  Eigensolves,
+sums and joints are counted by wrapping ``hermitian_eig``, ``_effect_pair``
+and ``_joint_weight`` in every module of the package that binds them.
 """
 
 import gc
@@ -616,3 +622,153 @@ def test_estimates_build_each_instruments_stack_once(monkeypatch):
     for inst in (z, x):
         assert sim._stack(inst) is inst._stack and not inst._stack.flags.writeable
         assert np.array_equal(inst._stack, concatenate([inst.op(k).mat.T for k in inst.outcomes], axis=1))
+
+
+def _joints(a) -> list:
+    """The joint weights kept on the map ``a``, one key per partner."""
+    return [key for key in a._memo if key[0] == "joint"]
+
+
+def test_each_ordered_pair_computes_its_joint_once(monkeypatch):
+    # p_pred(a, b) and p_retro(b, a) read the one joint of (a, b); (b, a) is
+    # a separate entry, kept on b.  All posteriors of one condition over a
+    # K-member resolution cost K joints per direction, not K per posterior.
+    computed = _count_calls(monkeypatch, superop, "_joint_weight")
+    gen = rng(319)
+    for d in (2, 3, 5):
+        a, b = rand_operation(gen, d), rand_operation(gen, d)
+        computed.clear()
+        for _ in range(3):
+            r.p_pred(a, b)
+            r.p_retro(b, a)
+        assert computed == [a]
+        assert _joints(a) == [("joint", id(b))] and not _joints(b)
+        r.p_retro(a, b)
+        assert computed == [a, b]
+        assert _joints(b) == [("joint", id(a))]
+        res = rand_resolution(gen, d, 4)
+        computed.clear()
+        for _ in range(2):
+            for j in range(len(res)):
+                r.bayes_retrodict(res, b, j)
+                r.bayes_predict(res, b, j)
+        assert computed == [b] * 4 + res
+        assert len(_joints(b)) == 5 and all(_joints(m) == [("joint", id(b))] for m in res)
+
+
+def test_kept_joints_match_the_checked_formula_on_first_and_repeat_calls():
+    gen = rng(320)
+    for d in range(2, 9):
+        a, b = rand_operation(gen, d), rand_operation(gen, d)
+        res = rand_resolution(gen, d, 3)
+        i, k = unsharp_instrument(gen, d, 3), unsharp_instrument(gen, d, 2)
+        ia, kb = r.summed(i, ["e0", "e2"]), r.summed(k, ["e1"])
+        want = (
+            [_ref_cond(a, b, b), _ref_cond(b, a, b), _ref_cond(a, a, a), _ref_cond(ia, kb, kb), _ref_cond(kb, ia, kb)]
+            + [_ref_bayes(lambda x, y: (x, y), res, b, j) for j in range(3)]
+            + [_ref_bayes(lambda x, y: (y, x), res, b, j) for j in range(3)]
+        )
+        for _ in range(2):
+            got = (
+                [r.p_pred(a, b), r.p_retro(a, b), r.p_pred(a, a)]
+                + [r.p_cond_pred(i, k, ["e0", "e2"], ["e1"]), r.p_cond_retro(i, k, ["e2", "e0"], ["e1"])]
+                + [r.bayes_retrodict(res, b, j) for j in range(3)]
+                + [r.bayes_predict(res, b, j) for j in range(3)]
+            )
+            assert got == want
+
+
+def test_a_joint_goes_when_its_partner_dies():
+    # The partner is held weakly and its death drops the entry, by reference
+    # counting alone; a map queried against many short-lived partners keeps
+    # no entry for any of them.
+    gen = rng(321)
+    old = gc.isenabled()
+    gc.disable()
+    try:
+        for d in (2, 3):
+            a, b = rand_operation(gen, d), rand_operation(gen, d)
+            r.p_pred(a, b)
+            r.p_retro(a, b)
+            assert _joints(a) == [("joint", id(b))] and _joints(b) == [("joint", id(a))]
+            ref = weakref.ref(b)
+            del b
+            assert ref() is None
+            assert not _joints(a)
+            for _ in range(200):
+                r.p_pred(a, r.scale(a, 0.5))
+                r.p_retro(a, r.scale(a, 0.5))
+            assert not _joints(a)
+            b = rand_operation(gen, d)
+            r.p_pred(a, b)
+            ref = weakref.ref(a)
+            del a
+            assert ref() is None
+            assert not _joints(b)
+    finally:
+        if old:
+            gc.enable()
+
+
+def test_kept_joints_hold_no_cycle_and_the_adjoint_carries_none():
+    gen = rng(322)
+    a, b = rand_operation(gen, 2), rand_operation(gen, 2)
+    res = rand_resolution(gen, 2, 2)
+    r.p_pred(a, a)
+    r.p_pred(a, b)
+    r.p_retro(a, b)
+    r.bayes_retrodict(res, a, 0)
+    r.bayes_predict(res, a, 1)
+    for m in [a, b] + res:
+        assert _joints(m)
+        assert not _reaches(m._memo, m)
+    assert len(_joints(a)) == 4
+    rev = r.adjoint(a)
+    assert r.classify(rev) == r.classify(r.Superoperator(2, a.mat.conj().T))
+    assert not _joints(rev)
+    assert r.p_pred(rev, rev) == _ref_cond(rev, rev, rev)
+    assert _joints(rev) == [("joint", id(rev))] and not _reaches(rev._memo, rev)
+
+
+def test_a_non_map_partner_raises_on_every_call_and_leaves_no_entry():
+    # check=False lets the non-map reach the joint on either side; a partner
+    # of another dim is a DimensionMismatch.
+    a = rand_operation(rng(323), 2)
+    for bad, error in ((3, r.ValidationError), (None, r.ValidationError), (np.eye(4), r.ValidationError),
+                       (r.unit(3), r.DimensionMismatch)):
+        for _ in range(2):
+            with pytest.raises(error):
+                r.p_retro(bad, a, check=False)
+            with pytest.raises(error):
+                r.p_pred(bad, a, check=False)
+            with pytest.raises(error):
+                superop._composed_weight(a, bad)
+        assert not _joints(a)
+        if isinstance(bad, r.Superoperator):
+            assert not _joints(bad)
+
+
+def test_the_adjoint_inherits_the_cp_verdict(eig_calls):
+    # adjoint copies each CP verdict with the classify records, so the Kraus
+    # factor of a time reversal makes no eigensolve, and is_cp cannot disagree
+    # with the inherited record at the tolerance boundary.
+    gen = rng(324)
+    for d in (2, 3, 4):
+        for a in (rand_operation(gen, d), rand_cp(gen, d), rand_noncp(gen, d)):
+            for tol in (1e-12, 1e-9):
+                cls = r.classify(a, tol)
+                eig_calls.clear()
+                rev = r.adjoint(a)
+                assert r.is_cp(rev, tol) is r.classify(rev, tol).cp is cls.cp
+                if cls.operation:
+                    ks = r.extract_kraus(r.time_reverse(a, tol), tol)
+                    assert np.abs(r.from_kraus(ks.ops, dim=d).mat - rev.mat).max() < 1e-9
+                elif cls.cp:
+                    r.extract_kraus(rev, tol)
+                assert len(eig_calls) == 0
+        # A verdict kept without a classify record is copied too.
+        b = rand_cp(gen, d)
+        assert r.is_cp(b)
+        eig_calls.clear()
+        assert r.is_cp(r.adjoint(b))
+        assert len(eig_calls) == 0
