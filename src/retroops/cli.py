@@ -111,9 +111,9 @@ def serialize_matrix(m: np.ndarray) -> list:
 #: Largest scenario ``dim``.  A map on ``dim x dim`` matrices is a
 #: ``dim**2 x dim**2`` complex matrix (``16 * dim**4`` bytes), and checking it
 #: takes spectra of that size: at ``dim = 16`` ``classify`` of a fresh
-#: full-rank map takes about 18 ms, and a later ``extract_kraus`` about 65 ms
-#: (medians, one BLAS thread, numpy 2.4.6).  A larger ``dim`` is refused up
-#: front.
+#: full-rank map takes about 14 ms, and a later ``extract_kraus`` about 8 ms
+#: (medians of 30 fresh maps, one BLAS thread, numpy 2.4.6, 2 shared CPUs).
+#: A larger ``dim`` is refused up front.
 MAX_SCENARIO_DIM = 16
 
 @dataclass

@@ -68,6 +68,7 @@ both compute the value; they store equal results.
 
 from __future__ import annotations
 
+import math
 import sys
 import weakref
 from dataclasses import dataclass, field, replace
@@ -362,34 +363,47 @@ def _memoised(a: Superoperator, check: str, tol: float, compute):
 
 
 def _kraus_factor(a: Superoperator, tol: float) -> KrausSet:
-    """Kraus matrices of a CP map from a pivoted Cholesky factor ``C = L L*``
-    of its Choi matrix ``C = sum_k vec(M_k) vec(M_k)*``: each step takes the
-    column of the largest remaining diagonal entry, stops once that entry is
-    ``<= tol``, and otherwise removes the column's rank-1 part.  Read-only.
-    :func:`extract_kraus` has passed :func:`is_cp` on the same Choi matrix at
-    ``tol``, so the factor starts from its Hermitian part without a second check."""
+    """Kraus matrices of a CP map from a left-looking pivoted Cholesky factor
+    ``C = L L*`` of its ``n x n`` Choi matrix ``C = sum_k vec(M_k) vec(M_k)*``
+    (Harbrecht, Peters and Schneider, Appl. Numer. Math. 62, 2012).  Only the
+    remaining diagonal is kept up to date.  Step ``k`` pivots on the first
+    largest remaining diagonal entry ``p``, stops once that entry is
+    ``<= tol``, and otherwise forms factor column ``k`` from column ``p`` of
+    ``C`` less one product with the ``k`` columns already found: O(n k) work,
+    no ``n x n`` update.  The columns are kept as rows, one Kraus matrix each,
+    in pivot order and read-only.  :func:`extract_kraus` has passed
+    :func:`is_cp` on the same Choi matrix at ``tol``, so the factor reads its
+    Hermitian part without a second check."""
     c = reshuffle(a).mat
-    c = (c + c.conj().T) / 2.0
-    ops = []
-    while True:
-        diag = c.diagonal().real
-        p = int(np.argmax(diag))
-        if diag[p] <= tol:
-            return KrausSet(a.dim, tuple(ops))
-        col = c[:, p] / np.sqrt(diag[p])
-        c -= np.outer(col, col.conj())
-        col.setflags(write=False)
-        ops.append(col.reshape(a.dim, a.dim))
+    # Row p of the conjugated Hermitian part is column p of the Hermitian part,
+    # to the bit, and a row is contiguous.
+    c = (c.conj() + c.T) / 2.0
+    n = c.shape[0]
+    diag = c.diagonal().real.copy()
+    rows = np.empty_like(c)
+    k = 0
+    while k < n and diag[p := diag.argmax()] > tol:
+        row = rows[k]
+        np.subtract(c[p], rows[:k, p].conj() @ rows[:k], out=row)
+        row /= math.sqrt(diag[p])
+        diag -= (row * row.conj()).real
+        k += 1
+    rows = rows[:k].copy() if k < n else rows
+    rows.setflags(write=False)
+    return KrausSet(a.dim, tuple(row.reshape(a.dim, a.dim) for row in rows))
 
 
 def extract_kraus(a: Superoperator, tol: float = DEFAULT_TOL) -> KrausSet:
     """Kraus matrices of a completely positive map.
 
-    Columns of a pivoted Cholesky factor of the Choi matrix, reshaped
-    row-major; one matrix per pivot above ``tol``.  The family is unique
-    only up to unitary mixing, so callers should compare maps by round trip
-    through :func:`from_kraus`, never operator by operator.  Memoised per
-    (map, tol) and read-only.
+    Columns of a left-looking pivoted Cholesky factor of the Choi matrix,
+    reshaped row-major; one matrix per pivot above ``tol``, in pivot order
+    (largest remaining diagonal entry first).  A step costs O(n k) for the
+    ``k`` matrices already found, with no ``n x n`` update, and no
+    eigensolve runs after :func:`is_cp`.  The family is unique only up to
+    unitary mixing, so callers should compare maps by round trip through
+    :func:`from_kraus`, never operator by operator.  Memoised per (map, tol)
+    and read-only; a factor of ``k < n`` matrices holds ``k n`` entries.
     """
     if not is_cp(a, tol):
         raise NotCP("Kraus extraction requires a completely positive map")

@@ -267,18 +267,64 @@ def test_kraus_round_trip(n):
         assert np.abs(rebuilt.mat - a.mat).max() < 1e-9 * max(1.0, np.abs(a.mat).max())
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 12, 16])
 def test_kraus_factor_round_trip_and_count(d):
     # Kraus rank 1, d and d^2: the factor rebuilds the map within 1e-12, and
-    # has one matrix per oracle Choi eigenvalue above tol.
+    # has one matrix per oracle Choi eigenvalue above tol.  The Jacobi oracle
+    # is too slow at n = d^2 = 144 and 256, where numpy's eigvalsh counts.
     gen = rng(50 + d)
+    eigvalsh = oracle_eigvalsh if d <= 8 else np.linalg.eigvalsh
     for rank in (1, d, d * d):
         a = r.from_kraus([rand_matrix(gen, d) for _ in range(rank)])
         ks = r.extract_kraus(a)
         rebuilt = r.from_kraus(ks.ops, dim=d)
         assert np.abs(rebuilt.mat - a.mat).max() < 1e-12 * max(1.0, np.abs(a.mat).max())
-        choi_eigs = oracle_eigvalsh(r.reshuffle(a).mat)
+        choi_eigs = eigvalsh(r.reshuffle(a).mat)
         assert len(ks) == int((choi_eigs > r.DEFAULT_TOL).sum()) == rank
+
+
+def _matrix_unit(d, row, col):
+    e = np.zeros((d, d))
+    e[row, col] = 1.0
+    return e
+
+
+def test_kraus_factor_pivots_on_the_largest_remaining_weight():
+    # A diagonal Choi matrix with distinct weights: each pivot is a matrix
+    # unit, and the matrices come in decreasing-weight order.
+    d = 3
+    weights = rng(57).permutation(np.arange(1, d * d + 1)) / (d * d)
+    units = [(i // d, i % d) for i in range(d * d)]
+    a = r.from_kraus([np.sqrt(w) * _matrix_unit(d, *rc) for w, rc in zip(weights, units)])
+    ks = r.extract_kraus(a)
+    order = np.argsort(-weights)
+    assert len(ks) == d * d
+    for m, i in zip(ks.ops, order):
+        assert np.allclose(m, np.sqrt(weights[i]) * _matrix_unit(d, *units[i]), rtol=0, atol=1e-15)
+
+
+def test_kraus_factor_stops_at_tol():
+    # A pivot of 2 tol is kept, and one of 0.5 tol ends the factor.
+    tol = r.DEFAULT_TOL
+    units = [(0, 0), (1, 0), (0, 1)]
+    for weights, count in (([1.0, 2 * tol, 0.5 * tol], 2), ([1.0, 0.5 * tol], 1), ([2 * tol], 1)):
+        a = r.from_kraus([np.sqrt(w) * _matrix_unit(2, *rc) for w, rc in zip(weights, units)])
+        assert len(r.extract_kraus(a, tol)) == count
+
+
+def test_kraus_factor_is_read_only_and_holds_only_its_rows():
+    # Every matrix is read-only; a factor of k < n matrices holds k n entries,
+    # not the n x n working buffer.
+    gen = rng(58)
+    d = 4
+    for rank in (1, d, d * d):
+        ks = r.extract_kraus(r.from_kraus([rand_matrix(gen, d) for _ in range(rank)]))
+        assert len(ks) == rank
+        for m in ks.ops:
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 0] = 0.0
+            assert m.base is ks.ops[0].base and m.base.size == rank * d * d
 
 
 def test_kraus_of_projector():

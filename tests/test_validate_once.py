@@ -28,6 +28,7 @@ and ``_joint_weight`` in every module of the package that binds them.
 import gc
 import sys
 import threading
+import types
 import weakref
 from pathlib import Path
 
@@ -459,14 +460,25 @@ def test_a_non_resolution_raises_on_every_call_with_its_numbers(monkeypatch):
 
 
 def _reaches(root, target) -> bool:
-    """True iff ``target`` is reachable from ``root`` by strong references."""
+    """True iff ``target`` is reachable from ``root`` by strong references.
+
+    The walk stops at modules and classes, and enters a function only through
+    its closure cells and defaults: their other references lead to module
+    state (``__globals__``, ``sys.modules``), which no kept value owns, and
+    following them would walk the whole module graph."""
     seen, todo = set(), [root]
     while todo:
         obj = todo.pop()
         if obj is target:
             return True
-        if id(obj) not in seen:
-            seen.add(id(obj))
+        if id(obj) in seen or isinstance(obj, (types.ModuleType, type)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, types.FunctionType):
+            todo.extend(obj.__closure__ or ())
+            todo.extend(obj.__defaults__ or ())
+            todo.extend((obj.__kwdefaults__ or {}).values())
+        else:
             todo.extend(gc.get_referents(obj))
     return False
 
