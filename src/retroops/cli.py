@@ -111,9 +111,11 @@ def serialize_matrix(m: np.ndarray) -> list:
 #: Largest scenario ``dim``.  A map on ``dim x dim`` matrices is a
 #: ``dim**2 x dim**2`` complex matrix (``16 * dim**4`` bytes), and checking it
 #: takes spectra of that size: at ``dim = 16`` ``classify`` of a fresh
-#: full-rank map takes about 14 ms, and a later ``extract_kraus`` about 8 ms
-#: (medians of 30 fresh maps, one BLAS thread, numpy 2.4.6, 2 shared CPUs).
-#: A larger ``dim`` is refused up front.
+#: full-rank map built from Kraus matrices takes about 1.7 ms (its CP verdict
+#: needs no Choi spectrum), a later ``extract_kraus`` about 8.6 ms, and
+#: ``classify`` of the same matrix without a Kraus form (a ``sum``) about
+#: 18 ms (medians of 30 fresh maps, one BLAS thread, numpy 2.4.6, 2 shared
+#: CPUs).  A larger ``dim`` is refused up front.
 MAX_SCENARIO_DIM = 16
 
 @dataclass

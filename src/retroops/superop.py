@@ -61,8 +61,11 @@ entry lives no longer than either map.  The trivial-sum check keeps
 the deviation pair of one family on its first member, next to weak
 references to the other members, so a map holds at most one family.
 No kept value keeps another map alive or reaches its own map, so no
-reference cycle forms.  :func:`adjoint` inherits the classification and
-the CP verdict, never a joint.  Two threads racing on a first call may
+reference cycle forms.  A map built by :func:`from_kraus` also keeps one
+float, its Gram bound: how far any computed eigenvalue of its stored Choi
+matrix can lie below 0, so :func:`is_cp` can certify it without an
+eigensolve.  :func:`adjoint` inherits the classification, the CP verdict
+and the Gram bound, never a joint.  Two threads racing on a first call may
 both compute the value; they store equal results.
 """
 
@@ -177,7 +180,15 @@ def from_tensor(mat) -> Superoperator:
 
 
 def from_kraus(ops, dim: int | None = None) -> Superoperator:
-    """Build ``A -> sum_k M_k A M_k*`` from a list of Kraus matrices."""
+    """Build ``A -> sum_k M_k A M_k*`` from a list of Kraus matrices.
+
+    The Choi matrix is the Gram product ``C = V^T conj(V)`` of the ``k x n``
+    matrix ``V`` whose rows are the ``vec(M_k)``, ``n = d^2``, so it is
+    positive semidefinite up to rounding.  The map keeps its Gram bound
+    ``8 (k + n) eps |V|_F^2``, with ``eps`` the machine epsilon and
+    ``|V|_F^2 = tr C``: how far rounding can push a computed eigenvalue of
+    ``C`` below 0 (see :func:`is_cp`).
+    """
     try:
         items = iter(ops)
     except TypeError:
@@ -201,7 +212,9 @@ def from_kraus(ops, dim: int | None = None) -> Superoperator:
     # (out_row, in_row, out_col, in_col) are reordered into storage.
     v = stack.reshape(len(mats), d * d)
     choi = v.T @ v.conj()
-    return Superoperator(d, choi.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d))
+    a = Superoperator(d, choi.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d))
+    a._memo["gram", None] = 8 * (len(mats) + d * d) * sys.float_info.epsilon * float(np.vdot(v, v).real)
+    return a
 
 
 def _common_dim(values, what: str, kind: type = Superoperator) -> int:
@@ -245,18 +258,19 @@ def adjoint(a: Superoperator) -> Superoperator:
 
     This is the paper's time reversal.  Each :func:`classify` record kept on
     ``a`` is copied with ``sub_unital`` and ``sub_tracial`` swapped, and each
-    CP verdict as it is, so the adjoint is classified, and its Kraus factor
-    built, with no eigensolve and no second verdict.  That is sound: its storage
-    matrix has ``a``'s Hermitian part, its Choi matrix is ``a``'s conjugated
-    and index-permuted (same spectrum), and its images of the identity, like
-    the two sums of its Kraus family ``{M_k*}``, are ``a``'s swapped.
+    CP verdict and the Gram bound as they are, so the adjoint is classified,
+    and its Kraus factor built, with no eigensolve and no second verdict.
+    That is sound: its storage matrix has ``a``'s Hermitian part, its Choi
+    matrix is ``a``'s conjugated and index-permuted (same spectrum, same
+    rounding), and its images of the identity, like the two sums of its
+    Kraus family ``{M_k*}``, are ``a``'s swapped.
     """
     _require_kind(a)
     rev = _rearranged(a.dim, np.conjugate(a.mat.T, order="C"))
     for (check, tol), kept in list(a._memo.items()):
         if check == "classify":
             rev._memo[check, tol] = replace(kept, sub_unital=kept.sub_tracial, sub_tracial=kept.sub_unital)
-        elif check == "cp":
+        elif check in ("cp", "gram"):
             rev._memo[check, tol] = kept
     return rev
 
@@ -340,8 +354,34 @@ def _psd(m: np.ndarray, tol: float) -> bool:
 def is_cp(a: Superoperator, tol: float = DEFAULT_TOL) -> bool:
     """Complete positivity: the Choi matrix (the reshuffled map) is Hermitian
     positive semidefinite at ``tol``.  The verdict is memoised per (map,
-    tol), so :func:`classify` and :func:`extract_kraus` share it."""
-    return _memoised(a, "cp", tol, lambda a, tol: _psd(reshuffle(a).mat, tol))
+    tol), so :func:`classify` and :func:`extract_kraus` share it.
+
+    A map from :func:`from_kraus` (or its adjoint) with ``tol > 0`` and a Gram
+    bound of at most ``tol / 2`` is CP with no eigensolve, the verdict the
+    spectrum gives.  Its Choi matrix ``C = V^T conj(V)`` is exactly PSD; each
+    computed entry is off by at most ``sqrt(2) gamma_{k+2} (|V|^T |V|)_ij``
+    (complex inner products; Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., sections 3.1 and 3.6), and the Frobenius norm of
+    ``|V|^T |V|`` is at most ``|V|_F^2``.  Forming the Hermitian part adds at
+    most ``eps/2 |V|_F^2``, and ``eigvalsh`` returns the exact spectrum of a
+    matrix within ``p(n) eps |C|_2 <= p(n) eps |V|_F^2``, ``p(n)`` of order
+    ``n`` (LAPACK Users' Guide, error bounds for the symmetric
+    eigenproblem).  So by Weyl's inequality no computed eigenvalue lies below
+    ``-(0.71 (k + 2) + 0.5 + p(n)) eps |V|_F^2``, within the Gram bound for
+    ``p(n) <= 7 n``.  The skew part is within ``tol`` of the Hermiticity
+    check's scale as well.  Any other map, ``tol <= 0`` or a bound above
+    ``tol / 2`` (or not finite) reads the spectrum."""
+    return _memoised(a, "cp", tol, _cp)
+
+
+def _cp(a: Superoperator, tol: float) -> bool:
+    """The CP verdict: ``True`` with no eigensolve when ``a`` keeps a Gram
+    bound (from :func:`from_kraus`) of at most ``tol / 2`` for a ``tol > 0``,
+    else the Choi matrix's spectrum at ``tol``."""
+    bound = a._memo.get(("gram", None))
+    if bound is not None and tol > 0 and bound <= tol / 2:
+        return True
+    return _psd(reshuffle(a).mat, tol)
 
 
 def _require_kind(value, kind: type = Superoperator):

@@ -1,3 +1,5 @@
+import math
+from dataclasses import astuple
 from functools import reduce
 
 import numpy as np
@@ -243,6 +245,58 @@ def test_cp_oracle_agreement():
         for _ in range(25):
             a = rand_noncp(gen, n)
             assert not r.is_cp(a)
+
+
+_GRAM_TOLS = (1e-6, 1e-9, 1e-12, 0.0, -1e-9)
+
+
+def _verdicts(a, tol):
+    """``is_cp`` then ``classify`` of ``a`` at ``tol``, as plain tuples."""
+    return r.is_cp(a, tol), astuple(r.classify(a, tol))
+
+
+@pytest.mark.parametrize("d", [*range(2, 9), 12, 16])
+def test_a_certified_cp_verdict_equals_the_choi_spectrums(d):
+    # A Kraus-built map certifies CP from its Gram bound when the bound is at
+    # most tol / 2; a from_tensor copy of the same matrix always eigensolves.
+    # Both must give the same is_cp verdict and classify record, at ranks 1,
+    # 2, d and d^2, Kraus scales 1e-8...1e4 and tolerances on both sides of 0.
+    gen = rng(60 + d)
+    certified = cases = 0
+    for k in sorted({1, 2, d, d * d}):
+        for s in (1e-8, 1e-5, 1e-2, 1.0, 1e2, 1e4):
+            ks = s * (gen.standard_normal((k, d, d)) + 1j * gen.standard_normal((k, d, d)))
+            a = r.from_kraus(list(ks))
+            copy = r.from_tensor(a.mat)
+            for tol in _GRAM_TOLS:
+                cases += 1
+                certified += tol > 0 and a._memo["gram", None] <= tol / 2
+                assert _verdicts(a, tol) == _verdicts(copy, tol), (k, s, tol)
+    assert 0 < certified < cases
+
+
+def test_a_gram_bound_past_the_float_range_falls_back():
+    # Kraus entries near 1e150 give a finite Choi matrix whose Gram bound is
+    # far over any tol, or (at 1e153, d = 4, k = 16) infinite; the verdict then
+    # comes from the spectrum, as for a from_tensor copy, and nothing raises.
+    gen = rng(70)
+    for d, k, c, finite in ((2, 1, 1e150, True), (3, 2, 1e150, True), (4, 16, 1e153, False)):
+        a = r.from_kraus(list(c * np.exp(2j * np.pi * gen.random((k, d, d)))))
+        assert math.isfinite(a._memo["gram", None]) is finite
+        copy = r.from_tensor(a.mat)
+        for tol in _GRAM_TOLS:
+            assert _verdicts(a, tol) == _verdicts(copy, tol)
+
+
+def test_classify_fields_are_python_bools():
+    # The CLI writes classify records with json.dumps, which rejects numpy.bool_.
+    gen = rng(71)
+    a = rand_operation(gen, 3)
+    kraus = r.from_kraus(r.extract_kraus(a).ops)
+    for m in (a, kraus, r.adjoint(kraus), r.from_kraus([1e100 * np.eye(2)]), rand_noncp(gen, 2)):
+        for tol in _GRAM_TOLS:
+            assert type(r.is_cp(m, tol)) is bool
+            assert all(type(flag) is bool for flag in astuple(r.classify(m, tol)))
 
 
 def test_cp_implies_psd_images():

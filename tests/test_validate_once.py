@@ -19,6 +19,9 @@ drops the entry; ``(b, a)`` is another entry, ``adjoint`` inherits
 none, a non-map partner raises on every call and leaves none, and no memo
 reaches its map.  ``adjoint`` inherits the CP verdict with the
 classification, so a time reversal's Kraus factor makes no eigensolve.
+A map built by ``from_kraus`` certifies its CP verdict from its kept Gram
+bound, so its ``classify`` makes one eigensolve fewer than a ``from_tensor``
+copy of the same matrix.
 The exact forward loop of the simulator takes each step's summed map once
 per call, and the sampler builds each instrument's component stack once.  Eigensolves,
 sums and joints are counted by wrapping ``hermitian_eig``, ``_effect_pair``
@@ -266,12 +269,33 @@ def test_is_cp_after_classify_makes_no_eigensolve(eig_calls):
 
 
 def test_extract_kraus_after_is_cp_makes_no_eigensolve(eig_calls):
+    # A Kraus-built map's CP verdict is certified by its Gram bound, with no
+    # eigensolve; a from_tensor copy of the same matrix eigensolves its Choi
+    # matrix once.  Neither factor eigensolves after is_cp.
     a = rand_cp(rng(312), 3)
-    assert r.is_cp(a)
-    assert len(eig_calls) == 1
-    ks = r.extract_kraus(a)
-    assert len(eig_calls) == 1
-    assert np.abs(r.from_kraus(ks.ops, dim=3).mat - a.mat).max() < 1e-9
+    for m, solves in ((a, 0), (r.from_tensor(a.mat), 1)):
+        eig_calls.clear()
+        assert r.is_cp(m)
+        assert len(eig_calls) == solves
+        ks = r.extract_kraus(m)
+        assert len(eig_calls) == solves
+        assert np.abs(r.from_kraus(ks.ops, dim=3).mat - a.mat).max() < 1e-9
+
+
+def test_classify_of_a_kraus_built_map_makes_one_eigensolve_fewer(eig_calls):
+    # The storage spectrum (the positive flag) and the two Loewner bounds are
+    # eigensolved on both maps; only the copy eigensolves its Choi matrix.
+    gen = rng(313)
+    for d in (2, 3, 5):
+        a = r.from_kraus([np.sqrt(0.3) * rand_unitary(gen, d), np.sqrt(0.6) * rand_unitary(gen, d)])
+        copy = r.from_tensor(a.mat)
+        counts = []
+        for m in (a, copy):
+            eig_calls.clear()
+            r.classify(m)
+            counts.append(len(eig_calls))
+        assert counts == [3, 4]
+        assert r.classify(a) == r.classify(copy)
 
 
 def _clamped(value: complex) -> float:
@@ -779,8 +803,16 @@ def test_the_adjoint_inherits_the_cp_verdict(eig_calls):
                     r.extract_kraus(rev, tol)
                 assert len(eig_calls) == 0
         # A verdict kept without a classify record is copied too.
-        b = rand_cp(gen, d)
+        b = r.from_tensor(rand_cp(gen, d).mat)
         assert r.is_cp(b)
         eig_calls.clear()
         assert r.is_cp(r.adjoint(b))
+        assert len(eig_calls) == 0
+        # So is a Kraus-built map's Gram bound: its adjoint certifies a
+        # verdict at a tolerance never asked of the map itself.
+        c = rand_cp(gen, d)
+        rev = r.adjoint(c)
+        assert rev._memo["gram", None] == c._memo["gram", None]
+        eig_calls.clear()
+        assert r.is_cp(rev, 1e-6)
         assert len(eig_calls) == 0

@@ -5,14 +5,19 @@ of this checkout and ``OTHER_TREE/src/retroops`` under two package names in
 one process, with ``load`` from ``tools/sampler_timing.py``.  A unit is one
 fresh Kraus family per grid point, scaled to an operation as in the
 benchmark's ``validate-fresh`` workload; each tree builds its map with
-``from_kraus``, then runs ``classify`` and ``extract_kraus`` on it, each call
-timed on its own, alternating which tree goes first from unit to unit.  The
-grid is Kraus rank 1, d and d^2 at d = 2...8, and full rank at d = 12 and 16.
+``from_kraus``, then runs ``classify`` and ``extract_kraus`` on it, and last
+``classify`` on a ``from_tensor`` copy of the map's matrix (row
+``classify_copy``; the copy is built untimed), each call timed on its own,
+alternating which tree goes first from unit to unit.  The copy carries no
+Kraus form, so its row times the spectral CP check beside the fresh map's.
+The grid is Kraus rank 1, d and d^2 at d = 2...8, and full rank at d = 12
+and 16.
 
-The two trees must agree on every unit: equal ``classify`` records, equal
-Kraus counts, and each tree's factor rebuilds its map through ``from_kraus``
-within ``1e-12 * max(1, max |a|)`` entrywise.  The Kraus matrices themselves
-need not be equal to the bit, because two factorisations may round apart.
+The two trees must agree on every unit: equal ``classify`` records, on the
+map and on its copy alike, equal Kraus counts, and each tree's factor
+rebuilds its map through ``from_kraus`` within ``1e-12 * max(1, max |a|)``
+entrywise.  The Kraus matrices themselves need not be equal to the bit,
+because two factorisations may round apart.
 
 Prints, per (dim, rank, call), the median seconds per call of each tree,
 their ratio (this checkout over the other), the share of units this checkout
@@ -46,7 +51,9 @@ import numpy as np  # after sampler_timing, which fixes the BLAS threads first
 
 #: (dim, Kraus rank) of each grid point.
 GRID = tuple((d, rank) for d in range(2, 9) for rank in sorted({1, d, d * d})) + ((12, 144), (16, 256))
-CALLS = ("from_kraus", "classify", "extract_kraus")
+#: The timed calls in order; ``classify_copy`` is ``classify`` on a
+#: ``from_tensor`` copy of the fresh map.
+CALLS = ("from_kraus", "classify", "extract_kraus", "classify_copy")
 
 
 def family(d: int, rank: int, seed: int) -> np.ndarray:
@@ -77,28 +84,29 @@ def count_eigensolves(ro) -> list:
 
 def unit(ro, count: list, ks: np.ndarray) -> tuple:
     """Seconds and eigensolves of each call in :data:`CALLS` on one fresh map
-    of package ``ro``, and the results: the map, its ``classify`` record and
-    its Kraus factor."""
+    of package ``ro``, and the results: the map, its ``classify`` record, its
+    Kraus factor and the ``classify`` record of its copy."""
     seconds, solves, out = [], [], []
-    arg = list(ks)
     for call in CALLS:
+        arg = list(ks) if call == "from_kraus" else out[0]
+        if call == "classify_copy":
+            arg = ro.from_tensor(arg.mat)
         before = count[0]
         start = time.perf_counter()
-        out.append(getattr(ro, call)(arg))
+        out.append(getattr(ro, call.removesuffix("_copy"))(arg))
         seconds.append(time.perf_counter() - start)
         solves.append(count[0] - before)
-        arg = out[0]
     return seconds, solves, out
 
 
 def disagreement(trees, outs, d: int) -> str:
     """Empty if the two trees' results of one unit agree, else what differs."""
-    (_, cls0, ks0), (_, cls1, ks1) = outs
-    if astuple(cls0) != astuple(cls1):
-        return f"classify records differ: {cls0} != {cls1}"
+    (_, cls0, ks0, copy0), (_, cls1, ks1, copy1) = outs
+    if not astuple(cls0) == astuple(cls1) == astuple(copy0) == astuple(copy1):
+        return f"classify records differ: {cls0}, {cls1}; copies {copy0}, {copy1}"
     if len(ks0) != len(ks1):
         return f"Kraus counts differ: {len(ks0)} != {len(ks1)}"
-    for ro, (a, _, ks) in zip(trees, outs):
+    for ro, (a, _, ks, _) in zip(trees, outs):
         rebuilt = ro.from_kraus(ks.ops, dim=d)
         if np.abs(rebuilt.mat - a.mat).max() > 1e-12 * max(1.0, np.abs(a.mat).max()):
             return "a Kraus factor does not rebuild its map within 1e-12"
