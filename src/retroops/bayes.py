@@ -24,6 +24,11 @@ from .superop import Superoperator, _composed_weight, _require_operation, _requi
 
 
 #: Bayes formulas are only valid for finite resolutions; reject absurd sizes.
+#: At this size, ``bayes_retrodict`` over members ``scale(unit(d), w_k)``
+#: (Dirichlet weights) takes 0.9-1.5 s on the first call, which classifies
+#: every member and sums the family, and 26-54 ms on a repeat, with a max RSS
+#: of 51 MB at ``d = 2``; at ``d = 4``, 1.1-1.3 s, 26-29 ms and 88 MB (3 runs
+#: each in a fresh process, one BLAS thread, numpy 2.4.6, 2 shared CPUs).
 MAX_RESOLUTION_SIZE = 10_000
 
 

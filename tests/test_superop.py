@@ -275,6 +275,32 @@ def test_a_certified_cp_verdict_equals_the_choi_spectrums(d):
     assert 0 < certified < cases
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_a_gram_bound_does_not_certify_a_choi_spectrum_below_its_tol(d):
+    # Rank-deficient Kraus families (k < d^2, tr C <= 1) whose computed Choi
+    # spectrum dips below 0 by rounding alone.  At tol = 0.9 |lmin| / max(1,
+    # lmax) the spectral verdict is False, so the Gram bound must stay above
+    # tol / 2 and hand the verdict to the spectrum.  The closest family sits
+    # 139-fold under the bound (d = 3, k = 1), so a bound loosened that much
+    # certifies it and fails here.
+    gen = rng(80 + d)
+    below = 0
+    for k in sorted({1, 2, d, d * d - 1}):
+        for _ in range(12):
+            ks = gen.standard_normal((k, d, d)) + 1j * gen.standard_normal((k, d, d))
+            ks *= np.sqrt(gen.random()) / np.linalg.norm(ks)
+            a = r.from_kraus(list(ks))
+            copy = r.from_tensor(a.mat)
+            spectrum = r.hermitian_eig(r.reshuffle(copy).mat)
+            if spectrum[0] >= 0:
+                continue
+            below += 1
+            tol = 0.9 * -spectrum[0] / max(1.0, spectrum[-1])
+            assert r.is_cp(copy, tol) is False
+            assert r.is_cp(a, tol) is False, (k, a._memo["gram", None], tol)
+    assert below > 0
+
+
 def test_a_gram_bound_past_the_float_range_falls_back():
     # Kraus entries near 1e150 give a finite Choi matrix whose Gram bound is
     # far over any tol, or (at 1e153, d = 4, k = 16) infinite; the verdict then
