@@ -74,7 +74,18 @@ class ZeroCondition(RetroOpsError):
 
 
 class InvariantViolation(RetroOpsError):
-    """A numerical quantity violated an invariant by more than the tolerance."""
+    """A numerical quantity violated an invariant by more than the tolerance.
+
+    ``residual`` is the deviation the check measured and ``tol`` the bound
+    it exceeded, where the raising check records them, else ``None``.  As
+    for :class:`NotHermitian`, the defaults let pickle rebuild the error
+    from its message; it then restores the two numbers.
+    """
+
+    def __init__(self, message: str, *, residual: float | None = None, tol: float | None = None):
+        super().__init__(message)
+        self.residual = residual
+        self.tol = tol
 
 
 class ZeroProbabilityBranch(RetroOpsError):

@@ -106,15 +106,19 @@ def _as_probability(value: complex, tol: float) -> float:
     Values within ``tol`` of 0 or 1 clamp to the boundary; values farther
     outside ``[0, 1]``, with an imaginary part above ``tol``, or with a
     non-finite part raise :class:`InvariantViolation` to surface bugs
-    instead of hiding them.
+    instead of hiding them.  Its ``residual`` is the modulus of a
+    non-finite value, the size of the imaginary part or the real part's
+    distance from ``[0, 1]``, and its ``tol`` is ``tol``.
     """
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise InvariantViolation(f"probability {value!r} is not finite")
+        raise InvariantViolation(f"probability {value!r} is not finite", residual=abs(value), tol=tol)
     if abs(value.imag) > tol:
-        raise InvariantViolation(f"probability has imaginary part {value.imag:.3e}")
+        raise InvariantViolation(f"probability has imaginary part {value.imag:.3e}", residual=abs(value.imag), tol=tol)
     v = value.real
     if v < -tol or v > 1.0 + tol:
-        raise InvariantViolation(f"probability {v!r} outside [0, 1] beyond tolerance")
+        raise InvariantViolation(
+            f"probability {v!r} outside [0, 1] beyond tolerance", residual=max(-v, v - 1.0), tol=tol
+        )
     return min(1.0, max(0.0, v))
 
 

@@ -13,30 +13,39 @@ of a trial's node and its uniform ``u`` in ``[0, 1)``, the trial takes outcome
 tie goes to the later outcome, so ``u = 0`` never selects a leading
 zero-weight branch.
 
-One step is one BLAS product: the node states, read as ``(nodes, d*d)``
-rows, times the instrument's components side by side, ``(d*d, K*d*d)``,
-give every node's ``K`` images.  That component stack is built on an
-instrument's first sampled step and kept on the instrument, read-only
-(``K * d**4 * 16`` bytes, as much as its components).  The weights are
-built node-major, ``(nodes, K)``: the real diagonal entries of each image
-added in index order, then clamped at 0.  The cumulative weights are ``K``
-contiguous ``(nodes,)`` rows, each the previous row plus one outcome's
-weights, in ``cumsum`` order, and the last is the branch sum checked at
-``tol / 10``.  A trial's outcome is the number of the first ``K - 1`` rows
-with ``u >= c_k[node]``, one 1-D ``take`` and one compare per row; the rows
-never decrease, so this equals the capped count over all ``K``.  numpy
-hands a one-row product to gemv, whose bits can differ from the same row of
-a gemm, so a lone node is computed as row 0 of a two-row product: a node's
-images never depend on how many nodes share its step.
+One step is one BLAS product: the node states, kept as ``(nodes, d*d)``
+rows from step to step, times the instrument's components side by side,
+``(d*d, K*d*d)``, give every node's ``K`` images.  That component stack is
+built on an instrument's first sampled step and kept on the instrument,
+read-only (``K * d**4 * 16`` bytes, as much as its components).  The
+weights are built node-major, ``(nodes, K)``: the real diagonal entries of
+each image added in index order (the first two in one call), then clamped
+at 0.  The cumulative weights are ``K`` contiguous ``(nodes,)`` rows, each
+the previous row plus one outcome's weights, in ``cumsum`` order, and the
+last is the branch sum checked at ``tol / 10``.  A trial's outcome is the
+number of the first ``K - 1`` rows with ``u >= c_k[node]``, one 1-D
+``take`` and one compare per row; the rows never decrease, so this equals
+the capped count over all ``K``.  numpy hands a one-row product to gemv,
+whose bits can differ from the same row of a gemm, so a lone node is
+computed as row 0 of a two-row product: a node's images never depend on
+how many nodes share its step.
 
 Trials with one outcome history share a node of the history tree.  The
 sampler yields its trials in chunks of at most ``_CHUNK``, and
 :func:`estimate` keeps only the running counts, so its memory is
 O(chunk * steps) for any trial count.  Within a chunk only occupied nodes
-are kept, renumbered in history order after every step but the last, so a
-step handles at most ``min(chunk, K**s)`` nodes in one batch and node ids
-stay below ``chunk * K``.  The last step stops once its outcomes are
-selected and their weights checked: nothing reads its children's states.
+are kept.  After every step but the last, the children ``node * K +
+outcome`` are numbered in history order.  When every child is occupied
+(the ``bincount`` of the trials' codes has no zero), the codes are already
+those numbers and the scaled images are the next states, with nothing
+gathered; otherwise the occupied children are renumbered and their images
+gathered.  So a step handles at most ``min(chunk, K**s)`` nodes in one
+batch and node ids stay below ``chunk * K``.  The last step stops once its
+outcomes are selected, and nothing reads its children's states: it reads
+the ``_ZERO_BRANCH`` floor from all ``nodes * K`` weights first, and from
+the selected codes' weights only when one of those is below it, which
+gives the same verdict because a trial can only select a weight that
+exists.
 
 Randomness comes from a Philox counter-based generator keyed by the 64-bit
 seed.  The uniform variate consumed by trial ``t`` at step ``s`` sits at
@@ -48,12 +57,15 @@ Each public call checks its inputs once, where they enter: one entry check
 of the steps and the prior gives the start state, and one check per
 (step, outcome label) pair gives the outcome index.  The exact forward loop
 and the sampler then work on these checked values: a forward step is the
-bare product ``apply`` computes, without its checks, and each step's summed
-map is taken from ``summed`` once per call.
+bare product ``apply`` computes, without its checks, on the state kept as
+one flat vector, whose trace is the sum of its every ``(d+1)``-th entry
+(the bits ``np.trace`` gives); each step's summed map is taken from
+``summed`` once per call.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -82,11 +94,11 @@ _CHUNK = 2**14
 #: Largest sampled work ``trials * sum_s K_s * d**4`` that :func:`estimate`
 #: takes on, for steps of ``K_s`` outcomes on ``d x d`` matrices: a step
 #: costs about ``K * d**4`` per node.  It is the ``2 * 10**9`` trial-steps of
-#: d = 2, K = 2 (32 per trial-step), about 2.5 minutes at the 13.4 million
+#: d = 2, K = 2 (32 per trial-step), about 2 minutes at the 17.7 million
 #: trial-steps per second measured for 3e5 trials over 24 alternating Z/X
-#: qubit steps, on one core of a 2-CPU host with one BLAS thread.  It allows
-#: about 2e6 trial-steps at d = 8, K = 8 (7 s at 280k per second) and 6e4 at
-#: d = 16, K = 16 (5 s at 13.4k per second).
+#: qubit steps (median of 11 calls), on one core of a 2-CPU host with one
+#: BLAS thread.  It allows about 2e6 trial-steps at d = 8, K = 8 (7 s at 280k
+#: per second) and 6e4 at d = 16, K = 16 (5 s at 13.4k per second).
 MAX_SAMPLED_WORK = 64 * 10**9
 
 
@@ -159,24 +171,28 @@ def _stack(inst: Instrument) -> np.ndarray:
 
 
 def _branch_probs(mats: np.ndarray, states: np.ndarray) -> tuple:
-    """Branch weights ``(n, K)`` and images ``(n, K, d, d)`` of a stack of
-    states ``(n, d, d)`` under an instrument's :func:`_stack` ``mats``.
+    """Branch weights ``(n, K)`` and images of a stack of ``n`` states under
+    an instrument's :func:`_stack` ``mats``: states ``(n, d, d)`` give images
+    ``(n, K, d, d)``, and state rows ``(n, d*d)`` image rows ``(n, K, d*d)``.
 
     The weights are a fresh node-major array; the images are a view of the
     one product ``(n, d*d) @ mats``, which for ``n = 1`` is row 0 of a
     two-row product (see the module docstring).
     """
-    n, d = states.shape[:2]
-    rows = states.reshape(n, d * d)
+    n, dd = len(states), mats.shape[0]
+    d = math.isqrt(dd)
+    rows = states.reshape(n, dd)
     images = (np.concatenate((rows, rows)) @ mats)[:1] if n == 1 else rows @ mats
-    k_count = mats.shape[1] // (d * d)
-    # diag[j, k, i] is the real diagonal entry (i, i) of node j's image under outcome k.
-    diag = images.real.reshape(n, k_count, d * d)[:, :, :: d + 1]
-    weights = diag[..., 0].copy()
-    for i in range(1, d):
-        weights += diag[..., i]
+    k_count = mats.shape[1] // dd
+    # re[j, k] is the real part of node j's image under outcome k, read as a
+    # row: its diagonal entry (i, i) is re[j, k, i * (d + 1)].  The first two
+    # are added in one call, then the rest in index order.
+    re = images.real.reshape(n, k_count, dd)
+    weights = re[..., 0] + re[..., d + 1] if d > 1 else re[..., 0].copy()
+    for i in range(2, d):
+        weights += re[..., i * (d + 1)]
     np.maximum(0.0, weights, out=weights)
-    return weights, images.reshape(n, k_count, d, d)
+    return weights, images.reshape(n, k_count, *states.shape[1:])
 
 
 def _generator(seed) -> np.random.Generator:
@@ -220,11 +236,12 @@ def _forward(instruments, totals: list, fixed: dict, rho: np.ndarray, tol: float
     marginalised by their summed operation in ``totals``.  Takes checked
     values (see :func:`_start`, :func:`_outcome` and :func:`_totals`) and
     applies each step as the bare product :func:`~retroops.superop.apply`
-    computes, without its checks."""
+    computes, without its checks, to the flat state vector."""
+    v = rho.ravel()
     for s, inst in enumerate(instruments):
         op = inst.ops[inst.outcomes[fixed[s]]] if s in fixed else totals[s]
-        rho = (op.mat @ rho.ravel()).reshape(rho.shape)
-    return _as_probability(complex(np.trace(rho)), tol)
+        v = op.mat @ v
+    return _as_probability(complex(v[:: len(rho) + 1].sum()), tol)
 
 
 def _sample_chunks(instruments, rho: np.ndarray, trials: int, gen: np.random.Generator, tol: float) -> Iterator:
@@ -240,16 +257,19 @@ def _sample_chunk(instruments, rho: np.ndarray, trials: int, gen: np.random.Gene
     """Vectorised sampler: outcome index per (trial, step), from the next
     ``trials * steps`` uniforms of ``gen``.
 
-    ``states`` holds one state per occupied node and ``node`` each trial's
-    node; after every step but the last, the occupied children
-    ``node * K + outcome`` are renumbered in order and their states built.
-    The selected branches are the occupied children, so the ``_ZERO_BRANCH``
-    floor is checked on their weights; at the last step, on the weights of
-    the selected codes, whose states nothing reads.
+    ``states`` holds one state row ``(d*d,)`` per occupied node and ``node``
+    each trial's node.  After every step but the last the children
+    ``node * K + outcome`` are numbered in order: when every child is
+    occupied the codes are the numbers and the images the next states, else
+    the occupied children are renumbered and their images gathered.  The
+    selected branches are the occupied children, so the ``_ZERO_BRANCH``
+    floor is checked on their weights; at the last step it is read from all
+    ``n * K`` weights first, and from the selected codes' weights only if
+    one of those is below it.
     The uniforms and outcomes are held step by step (one contiguous row per
     step), and the outcomes are returned as the ``(trials, steps)`` view.
     """
-    states = rho[None]
+    states = rho.reshape(1, -1)
     u = gen.random((trials, len(instruments))).T.copy()
     node = np.zeros(trials, dtype=np.int64)
     outcomes = np.zeros((len(instruments), trials), dtype=np.int64)
@@ -264,29 +284,38 @@ def _sample_chunk(instruments, rho: np.ndarray, trials: int, gen: np.random.Gene
         dev = np.abs(cum[-1] - 1.0)
         if dev.max() > tol / 10:
             bad = np.flatnonzero(dev > tol / 10)[0]
-            raise InvariantViolation(f"branch probabilities sum to {cum[-1, bad]:.12g}, not 1")
+            raise InvariantViolation(
+                f"branch probabilities sum to {cum[-1, bad]:.12g}, not 1", residual=float(dev[bad]), tol=tol / 10
+            )
         idx = outcomes[s]
         for k in range(k_count - 1):
             idx += u[s] >= cum[k].take(node)
         code = node * k_count
         code += idx
-        if s < last:
-            # Renumber the occupied children in order; they are the selected branches.
-            flat = np.flatnonzero(np.bincount(code, minlength=probs.size))
+        chosen = probs.ravel()
+        if s == last:
+            # A trial selects one of the n * K weights, so none below the
+            # floor means no selected one is.
+            if chosen.min() < _ZERO_BRANCH and chosen.take(code).min() < _ZERO_BRANCH:
+                raise ZeroProbabilityBranch("a numerically zero branch was selected")
+            break
+        states = images.reshape(probs.size, -1)
+        occupied = np.bincount(code, minlength=probs.size).nonzero()[0]
+        if occupied.size == probs.size:
+            # Every child is occupied: the codes already number them in order.
+            node = code
+        else:
             rank = np.empty(probs.size, dtype=np.int64)
-            rank[flat] = np.arange(flat.size)
+            rank[occupied] = np.arange(occupied.size)
             node = rank.take(code)
-            code = flat
-        chosen = probs.ravel().take(code)
+            chosen = chosen.take(occupied)
+            states = states.take(occupied, axis=0)
         if chosen.min() < _ZERO_BRANCH:
             raise ZeroProbabilityBranch("a numerically zero branch was selected")
-        if s == last:
-            break
-        states = images.reshape(-1, *states.shape[1:]).take(code, axis=0)
         # numpy divides a complex entry by a real one as a multiply by the
         # reciprocal, so scaling the float view gives the quotient's values.
         real = states.view(np.float64)
-        real *= (1.0 / chosen)[:, None, None]
+        real *= (1.0 / chosen)[:, None]
     return outcomes.T
 
 

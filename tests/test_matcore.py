@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,35 @@ def test_eig_rejects_non_hermitian():
     assert (e.scale, e.tol) == (2.0, 1e-6)
     assert e.defect > e.tol * e.scale
     assert str(e) == "matrix deviates from Hermitian by 2.828e+00 (scale 2.000e+00)"
+
+
+def test_invariant_violations_carry_their_numbers_through_pickle():
+    # Each of _as_probability's three raises records the deviation it
+    # measured and the tol it exceeded; pickle rebuilds the error from its
+    # message and restores both.  An error raised without them holds None.
+    from retroops.matcore import _as_probability
+
+    errors = []
+    for value, residual in (
+        (complex(float("inf"), 0.0), float("inf")),
+        (complex(0.5, -1e-3), 1e-3),
+        (complex(1.5), 0.5),
+        (complex(-0.25), 0.25),
+    ):
+        with pytest.raises(InvariantViolation) as info:
+            _as_probability(value, 1e-9)
+        assert (info.value.residual, info.value.tol) == (residual, 1e-9)
+        errors.append(info.value)
+    with pytest.raises(InvariantViolation) as info:
+        _as_probability(complex(float("nan"), 0.0), 1e-6)
+    assert np.isnan(info.value.residual) and info.value.tol == 1e-6
+    errors.append(InvariantViolation("effect must satisfy 0 <= E <= I"))
+    assert (errors[-1].residual, errors[-1].tol) == (None, None)
+    for e in errors:
+        back = pickle.loads(pickle.dumps(e))
+        assert type(back) is InvariantViolation
+        assert str(back) == str(e)
+        assert (back.residual, back.tol) == (e.residual, e.tol)
 
 
 def test_eig_no_convergence_with_zero_budget():

@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -139,6 +140,29 @@ def test_estimate_agrees_with_scalar_sampler():
                 assert traj.steps == tuple(
                     (i.name, i.outcomes[k]) for i, k in zip(insts, outcomes[0])
                 )
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("trials, full", [(5, [True, False, False, False]), (1000, [True, True, True, False])])
+def test_both_child_numberings_agree_with_scalar_sampler(d, trials, full):
+    # After a step whose children are all occupied, the sampler keeps the
+    # codes as node numbers and the images as the next states; after any
+    # other step it renumbers the occupied children and gathers their
+    # images.  A repeated sharp step always leaves children empty.  full[s]
+    # says whether step s had every child occupied, read off the outcome
+    # matrix, and every row is the one-state-at-a-time reference's.
+    gen = rng(96)
+    sharp = r.make_instrument({str(j): op for j, op in enumerate(luders_resolution(gen, d))}, name=f"L{d}")
+    unsharp = unsharp_instrument(gen, d, 3)
+    insts = [unsharp, unsharp, sharp, sharp, unsharp]
+    seed = int(gen.integers(2**32))
+    outcomes = _outcome_matrix(insts, None, trials, philox(seed))
+    rows = outcomes.tolist()
+    children = [len({tuple(row[:s]) for row in rows}) for s in range(len(insts))]
+    assert [children[s + 1] == children[s] * len(insts[s].outcomes) for s in range(len(insts) - 1)] == full
+    rho = np.eye(d, dtype=complex) / d
+    for t in range(trials):
+        assert rows[t] == scalar_outcomes(insts, rho, philox_row(seed, t, len(insts)))
 
 
 class _Uniforms:
@@ -315,8 +339,14 @@ def test_branch_sum_violation_reports_first_node():
         {"+": r.scale(r.projecting(PZP), 1 - 2e-9), "-": r.scale(r.projecting(PZM), 1 - 4e-9)},
         name="lossy",
     )
-    with pytest.raises(InvariantViolation, match=r"^branch probabilities sum to 0\.999999998, not 1$"):
+    with pytest.raises(InvariantViolation, match=r"^branch probabilities sum to 0\.999999998, not 1$") as info:
         r.estimate([z, lossy], condition=(1, "+"), target=(0, "+"), trials=100, seed=1)
+    # The error carries that node's |sum - 1| and the bound tol / 10, also
+    # through pickle.
+    e = info.value
+    assert e.residual == pytest.approx(2e-9, rel=1e-6) and e.tol == r.DEFAULT_TOL / 10
+    back = pickle.loads(pickle.dumps(e))
+    assert (str(back), back.residual, back.tol) == (str(e), e.residual, e.tol)
 
 
 def test_empirical_frequency_three_steps():
