@@ -35,7 +35,7 @@ MAX_RESOLUTION_SIZE = 10_000
 def _weight(a: Superoperator, tol: float) -> float:
     w = event_weight(a)
     if abs(w.imag) > tol:
-        raise InvariantViolation(f"event weight has imaginary part {w.imag:.3e}")
+        raise InvariantViolation(f"event weight has imaginary part {w.imag:.3e}", residual=abs(w.imag), tol=tol)
     return w.real
 
 
@@ -43,14 +43,14 @@ def _conditional(a: Superoperator, b: Superoperator, joint: tuple, tol: float, c
     """``event_weight(compose(*joint)) / event_weight(b)`` for operations
     ``a`` and ``b``, clamped to ``[0, 1]``; ``joint`` is the caller's
     composition order.  The joint weight is read from the raw product of
-    the two checked maps, once per ordered pair, and
+    the two checked maps and kept per ordered pair, up to a cap per map, and
     :func:`_as_probability` rejects a non-finite quotient, which only maps
     passed with ``check=False`` can overflow to."""
     if check:
         _require_operation(a, tol, "first argument")
         _require_operation(b, tol, "second argument")
     wb = _weight(b, tol)
-    if wb <= tol:
+    if wb / b.dim <= tol:
         raise ZeroCondition("conditioning operation has zero event weight")
     return _as_probability(_composed_weight(*joint) / wb, tol)
 
@@ -99,7 +99,7 @@ def _bayes(joint, a_list, b: Superoperator, j: int, tol: float) -> float:
     if not (_is_int(j) and 0 <= j < len(a_list)):
         raise ValidationError(f"index {j} out of range for a {len(a_list)}-member resolution")
     _require_operation(b, tol, "condition")
-    if p_prior(b, tol, check=False) <= tol:
+    if _weight(b, tol) / b.dim <= tol:
         raise ZeroCondition("condition has zero unconditional probability")
     weights = [_weight(a, tol) for a in a_list]
     terms = [

@@ -61,7 +61,7 @@ from .errors import (
     RetroOpsError,
     ValidationError,
 )
-from .matcore import DEFAULT_TOL, _is_int
+from .matcore import DEFAULT_TOL, _is_int, _require_within
 from .superop import Superoperator
 
 EXIT_OK = 0
@@ -278,8 +278,7 @@ def _prob_value(v: float) -> dict:
 
 def _check_residuals(residuals: dict, tol: float) -> None:
     worst = max(residuals.values())
-    if worst > tol:
-        raise InvariantViolation(f"identity residual {worst:.3e} exceeds tolerance {tol:.3e}")
+    _require_within(worst, tol, "identity residual {:.3e} exceeds tolerance {:.3e}", worst, tol)
 
 
 def cmd_check(scn: Scenario, args, tol: float) -> dict:

@@ -12,7 +12,12 @@ package normalised itself (a state's trace and Hermiticity, the sampler's
 branch sums) are checked within ``tol / 10``; spectra, Loewner tests,
 probabilities and identity residuals within ``tol``; sums over resolution
 members, which accumulate error, within ``10 * tol``.  The sampler's 1e-15
-floor for a selected branch is a rounding floor, not a tolerance.
+floor for a selected branch is a rounding floor, not a tolerance.  A
+condition vanishes when its probability is ``<= tol``: for a map ``b``
+that is ``event_weight(b) / dim``, its probability from the maximally
+mixed prior, which conditional probabilities, Bayes formulas and inferred
+states all read; ``estimate`` reads the exact probability of its
+conditioning outcome from its prior.
 """
 
 from __future__ import annotations
@@ -95,9 +100,19 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.linalg.eigvalsh(_require_hermitian(as_matrix(m), tol))
 
 
-def _eig_psd(eigenvalues: np.ndarray, tol: float) -> bool:
-    """The test of :func:`is_psd` on an already computed ascending spectrum."""
-    return bool(eigenvalues[0] >= -tol * max(1.0, abs(eigenvalues[-1])))
+def _psd_defect(eigenvalues: np.ndarray, tol: float) -> tuple:
+    """``(-min eigenvalue, tol * max(1, |max eigenvalue|))`` of an already
+    computed ascending spectrum: the test of :func:`is_psd` passes iff the
+    first is at most the second."""
+    return float(-eigenvalues[0]), float(tol * max(1.0, abs(eigenvalues[-1])))
+
+
+def _require_within(residual: float, bound: float, message: str, *args) -> None:
+    """:class:`InvariantViolation` with ``message.format(*args)``, carrying
+    ``residual`` and ``bound`` as its ``residual`` and ``tol``, unless
+    ``residual <= bound``; the message is formatted only to raise."""
+    if not residual <= bound:
+        raise InvariantViolation(message.format(*args), residual=residual, tol=bound)
 
 
 def _as_probability(value: complex, tol: float) -> float:
@@ -127,7 +142,8 @@ def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
 
     The test is ``min eigenvalue >= -tol * max(1, |max eigenvalue|)``.
     """
-    return _eig_psd(hermitian_eig(m, tol), tol)
+    residual, bound = _psd_defect(hermitian_eig(m, tol), tol)
+    return residual <= bound
 
 
 def loewner_leq(a, b, tol: float = DEFAULT_TOL) -> bool:

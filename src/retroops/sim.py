@@ -73,13 +73,12 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    InvariantViolation,
     NoConditionHits,
     ValidationError,
     ZeroCondition,
     ZeroProbabilityBranch,
 )
-from .matcore import DEFAULT_TOL, _as_probability, _is_int
+from .matcore import DEFAULT_TOL, _as_probability, _is_int, _require_within
 from .superop import _common_dim
 from .instrument import Instrument, summed
 from .states import DensityMatrix
@@ -284,9 +283,7 @@ def _sample_chunk(instruments, rho: np.ndarray, trials: int, gen: np.random.Gene
         dev = np.abs(cum[-1] - 1.0)
         if dev.max() > tol / 10:
             bad = np.flatnonzero(dev > tol / 10)[0]
-            raise InvariantViolation(
-                f"branch probabilities sum to {cum[-1, bad]:.12g}, not 1", residual=float(dev[bad]), tol=tol / 10
-            )
+            _require_within(float(dev[bad]), tol / 10, "branch probabilities sum to {:.12g}, not 1", cum[-1, bad])
         idx = outcomes[s]
         for k in range(k_count - 1):
             idx += u[s] >= cum[k].take(node)

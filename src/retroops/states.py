@@ -38,7 +38,9 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation, NotHermitian, ValidationError, ZeroCondition
-from .matcore import DEFAULT_TOL, _complex_array, _eig_psd, _require_hermitian, _same_dim, as_matrix, hermitian_eig
+from .matcore import (
+    DEFAULT_TOL, _complex_array, _psd_defect, _require_hermitian, _require_within, _same_dim, as_matrix, hermitian_eig
+)
 from .superop import Superoperator, _effect_pair, _memoised, _require_kind, _require_operation
 from . import instrument as _instr
 
@@ -58,14 +60,14 @@ class DensityMatrix:
         m = _complex_array(self.matrix)
         try:
             spectrum = hermitian_eig(m, tol / 10)
-        except NotHermitian:
-            raise InvariantViolation(f"density matrix is not Hermitian within {tol / 10:g}") from None
+        except NotHermitian as e:
+            raise InvariantViolation(
+                f"density matrix is not Hermitian within {tol / 10:g}", residual=e.defect, tol=e.tol * e.scale
+            ) from None
         m = (m + m.conj().T) / 2.0
-        if not _eig_psd(spectrum, tol):
-            raise InvariantViolation(f"density matrix is not positive semidefinite within {tol:g}")
+        _require_within(*_psd_defect(spectrum, tol), "density matrix is not positive semidefinite within {:g}", tol)
         tr = m.trace()
-        if abs(tr - 1.0) > tol / 10:
-            raise InvariantViolation(f"density matrix trace {tr:.12g} is not 1 within {tol / 10:g}")
+        _require_within(abs(tr - 1.0), tol / 10, "density matrix trace {:.12g} is not 1 within {:g}", tr, tol / 10)
         m.setflags(write=False)
         spectrum.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -89,8 +91,8 @@ class Effect:
     def __post_init__(self, tol):
         m = _complex_array(self.matrix)
         spectrum = hermitian_eig(m, tol)
-        if not (_eig_psd(spectrum, tol) and _eig_psd(1.0 - spectrum[::-1], tol)):
-            raise InvariantViolation("effect must satisfy 0 <= E <= I")
+        for bounded in (spectrum, 1.0 - spectrum[::-1]):
+            _require_within(*_psd_defect(bounded, tol), "effect must satisfy 0 <= E <= I")
         m = (m + m.conj().T) / 2.0
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -105,7 +107,7 @@ def _inferred_state(a: Superoperator, direction: int, tol: float) -> DensityMatr
     def infer(a: Superoperator, tol: float) -> DensityMatrix:
         m = _require_hermitian(_effect_pair(a.dim, a.mat)[direction], tol, "operation image")
         w = float(m.trace().real)
-        if w <= tol:
+        if w / a.dim <= tol:
             raise ZeroCondition("operation has zero event weight; no state is inferable")
         return DensityMatrix(m / w, tol)
 
@@ -158,5 +160,5 @@ def expect(rho: DensityMatrix, obs, tol: float = DEFAULT_TOL) -> float:
     try:
         obs = _require_hermitian(obs, tol, "observable")
     except NotHermitian as e:
-        raise InvariantViolation(str(e)) from None
+        raise InvariantViolation(str(e), residual=e.defect, tol=e.tol * e.scale) from None
     return float(np.trace(rho.matrix @ obs).real)

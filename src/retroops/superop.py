@@ -55,9 +55,12 @@ shares with :func:`is_cp` and :func:`extract_kraus` are computed once per
 states inferred from the identity's two images (:mod:`retroops.states`)
 are kept per (map, direction, tolerance).  The joint weight
 ``event_weight(compose(a, b))`` that every conditional probability and
-Bayes term reads is kept once per ordered pair, on ``a``, in a weak
-reference to ``b`` whose callback drops the entry when ``b`` dies, so an
-entry lives no longer than either map.  The trivial-sum check keeps
+Bayes term reads is kept on ``a`` in one weak-keyed dictionary from the
+partner ``b`` to the weight, for at most ``_MAX_JOINTS`` (64) live
+partners, so an entry goes when ``b`` dies and a map's joints take bounded
+memory however many maps it meets; a further partner's joint is computed
+again on every call.  (Threads racing past the cap may each add one entry
+more.)  The trivial-sum check keeps
 the deviation pair of one family on its first member, next to weak
 references to the other members, so a map holds at most one family.
 No kept value keeps another map alive or reaches its own map, so no
@@ -295,35 +298,25 @@ def _event_weight(a: Superoperator, _tol) -> complex:
     return complex(np.einsum("bbaa->", a.tensor))
 
 
-class _Joint(weakref.ref):
-    """The joint weight of an ordered pair ``(a, b)``, kept on ``a`` under
-    ``key``: a weak reference to ``b`` whose callback, :func:`_drop_joint`,
-    drops the entry when ``b`` dies.  It reaches ``a`` only weakly, through
-    ``owner``, so no memo reaches its own map.  The slots are set after the
-    C constructor, the cheap one, and before the entry is stored."""
-
-    __slots__ = ("owner", "key", "weight")
-
-
-def _drop_joint(ref: _Joint) -> None:
-    a = ref.owner()
-    if a is not None:
-        a._memo.pop(ref.key, None)
+#: Live partners whose joint weight one map keeps; a further partner's joint
+#: is computed on every call and not kept.
+_MAX_JOINTS = 64
 
 
 def _composed_weight(a: Superoperator, b: Superoperator) -> complex:
-    """``event_weight(compose(a, b))``, computed once per ordered pair and kept
-    on ``a`` as a :class:`_Joint`.  A hit needs the entry to refer to this
-    very ``b``; a miss runs :func:`_joint_weight` first, so a non-map
+    """``event_weight(compose(a, b))``, kept on ``a`` in one
+    :class:`weakref.WeakKeyDictionary` from partner ``b`` to the weight, so
+    an entry goes when ``b`` dies, for at most :data:`_MAX_JOINTS` live
+    partners.  A miss runs :func:`_joint_weight` first, so a non-map
     argument raises on every call and leaves no entry."""
-    key = ("joint", id(b))
-    kept = a._memo.get(key) if isinstance(a, Superoperator) else None
-    if kept is None or kept() is not b:
+    joints = a._memo.get(("joints", None)) if isinstance(a, Superoperator) else None
+    weight = joints.get(b) if joints is not None and isinstance(b, Superoperator) else None
+    if weight is None:
         weight = _joint_weight(a, b)
-        kept = _Joint(b, _drop_joint)
-        kept.owner, kept.key, kept.weight = weakref.ref(a), key, weight
-        a._memo[key] = kept
-    return kept.weight
+        joints = _memoised(a, "joints", None, lambda a, _tol: weakref.WeakKeyDictionary())
+        if len(joints) < _MAX_JOINTS:
+            joints[b] = weight
+    return weight
 
 
 def _joint_weight(a: Superoperator, b: Superoperator) -> complex:

@@ -31,6 +31,7 @@ from helpers import (
     rand_superop,
     rand_unitary,
     rng,
+    unsharp_instrument,
     x_instrument,
     z_instrument,
 )
@@ -224,15 +225,41 @@ def test_criterion_07_instruments():
     zx = r.product(z, x)
     probs = sorted(r.p_inst(zx, [label]) for label in zx.outcomes)
     worst = max(worst, max(abs(p - 0.25) for p in probs))
-    ok = worst < 1e-12 and len(zx.outcomes) == 4
-    verdict(7, ok, f"Z/X validate, product has {len(zx.outcomes)} outcomes, worst residual {worst:.2e}")
+    # Random unsharp instruments i (K = 2..4) and k (K = 2, 3) at d = 2..8,
+    # bound 1e-12 as for the qubit: the outcomes of i are exhaustive and
+    # additive, given an outcome y of k, and the product instrument's outcome
+    # "x,y" (k first) has probability p_inst(k, y) p_cond_pred(i, k, x, y),
+    # whose sum over x is p_inst(k, y).
+    gen = rng(1007)
+    worst_d = 0.0
+    for n in range(2, 9):
+        for _ in range(2):
+            i = unsharp_instrument(gen, n, int(gen.integers(2, 5)))
+            k = unsharp_instrument(gen, n, int(gen.integers(2, 4)))
+            ik = r.product(i, k)
+            worst_d = max(worst_d, abs(r.p_inst(i, i.outcomes) - 1.0))
+            for y in k.outcomes:
+                b, p_y = r.summed(k, [y]), r.p_inst(k, [y])
+                singles = [r.p_inst_pred(i, [x], b) for x in i.outcomes]
+                joint = [r.p_inst(ik, [f"{x},{y}"]) for x in i.outcomes]
+                worst_d = max(
+                    worst_d,
+                    abs(r.p_inst_pred(i, i.outcomes, b) - sum(singles)),
+                    abs(sum(joint) - p_y),
+                    max(abs(j - p_y * r.p_cond_pred(i, k, [x], [y])) for j, x in zip(joint, i.outcomes)),
+                )
+    ok = worst < 1e-12 and len(zx.outcomes) == 4 and worst_d < 1e-12
+    verdict(
+        7, ok, f"Z/X validate, product has {len(zx.outcomes)} outcomes, worst residual {worst:.2e}; "
+        f"14 random instrument pairs at d = 2..8, worst residual {worst_d:.2e}"
+    )
 
 
 def test_criterion_08_bayesian_states():
     gen = rng(1008)
     worst = 0.0
     for _ in range(200):
-        n = int(gen.integers(2, 5))
+        n = int(gen.integers(2, 9))
         a = rand_operation(gen, n)
         b = rand_operation(gen, n)
         if r.event_weight(b).real <= 1e-6:
@@ -245,7 +272,7 @@ def test_criterion_08_bayesian_states():
             abs(r.expect(post, m_in.matrix) - r.p_pred(a, b, check=False)),
             abs(r.expect(prior, m_out.matrix) - r.p_retro(a, b, check=False)),
         )
-    verdict(8, worst < 1e-9, f"200 pairs, worst bridge residual {worst:.2e}")
+    verdict(8, worst < 1e-9, f"200 pairs at d = 2..8, worst bridge residual {worst:.2e}")
 
 
 def test_criterion_09_simulation_concordance():

@@ -331,3 +331,36 @@ def test_overflowed_joint_is_a_typed_error():
             for formula in (r.p_pred, r.p_retro):
                 with pytest.raises(InvariantViolation, match="not finite"):
                     formula(a, big, check=False)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_every_entry_point_refuses_a_condition_by_one_rule(d):
+    # A condition vanishes when its probability from the maximally mixed
+    # prior, event_weight(b) / d, is <= tol.  b = c P0 has event weight c, so
+    # c = 2 tol d passes every entry point and c = tol d / 2 (at d = 4 the
+    # 2e-9 of the ROADMAP's repro) is refused by each of them.  estimate
+    # reads the exact probability of its condition, which here is c / d too;
+    # above the threshold it gets past that check and then, at 2e-9 per
+    # trial, finds no sampled hit.
+    tol = r.DEFAULT_TOL
+    p0 = np.diag(np.eye(d)[0])
+    res = [r.projecting(np.diag(row)) for row in np.eye(d)]
+    for c, vanishes in ((2 * tol * d, False), (tol * d / 2, True)):
+        b = r.scale(r.projecting(p0), c)
+        inst = r.make_instrument({"b": b, "rest": r.from_kraus([np.sqrt(1 - c) * p0, np.eye(d) - p0])})
+        calls = [
+            lambda: r.p_pred(res[0], b),
+            lambda: r.p_retro(res[0], b),
+            lambda: r.bayes_retrodict(res, b, 0),
+            lambda: r.bayes_predict(res, b, 0),
+            lambda: r.state_prior(b),
+            lambda: r.state_posterior(b),
+        ]
+        for call in calls:
+            if vanishes:
+                with pytest.raises(ZeroCondition):
+                    call()
+            else:
+                call()
+        with pytest.raises(ZeroCondition if vanishes else r.NoConditionHits):
+            r.estimate([inst, inst], condition=(0, "b"), target=(1, "b"), trials=100, seed=1)

@@ -17,6 +17,7 @@ from retroops import (
     trace,
 )
 import retroops as r
+from retroops import cli
 from retroops.errors import DimensionMismatch, InvariantViolation
 
 from helpers import EigSystem, NoConvergence, jacobi_eig, oracle_eigvalsh, rand_hermitian, rand_matrix, rand_psd, rng
@@ -138,6 +139,35 @@ def test_invariant_violations_carry_their_numbers_through_pickle():
         assert type(back) is InvariantViolation
         assert str(back) == str(e)
         assert (back.residual, back.tol) == (e.residual, e.tol)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: r.p_prior(r.from_tensor(1j * np.eye(4)), check=False), "event weight has imaginary part 2.000e+00"),
+        (lambda: cli._check_residuals({"x": 1e-3, "y": 0.0}, 1e-9),
+         "identity residual 1.000e-03 exceeds tolerance 1.000e-09"),
+        (lambda: r.DensityMatrix([[0.5, 1e-3], [0.0, 0.5]]), "density matrix is not Hermitian within 1e-10"),
+        (lambda: r.DensityMatrix(np.diag([1.5, -0.5])), "density matrix is not positive semidefinite within 1e-09"),
+        (lambda: r.DensityMatrix(np.diag([0.6, 0.6])), "density matrix trace 1.2+0j is not 1 within 1e-10"),
+        (lambda: r.Effect(np.diag([-0.5, 0.5])), "effect must satisfy 0 <= E <= I"),
+        (lambda: r.Effect(np.diag([1.5, 0.5])), "effect must satisfy 0 <= E <= I"),
+        (lambda: r.expect(r.DensityMatrix(np.eye(2) / 2), [[0.0, 1.0], [0.0, 0.0]]),
+         "observable deviates from Hermitian by 1.414e+00 (scale 1.000e+00)"),
+    ],
+    ids=["event-weight", "cli-residuals", "state-hermitian", "state-psd", "state-trace", "effect-low", "effect-high",
+         "expect-observable"],
+)
+def test_each_check_outside_matcore_carries_its_numbers(call, message):
+    # The residual is the quantity the failed comparison read and tol the
+    # bound it exceeded; the message is unchanged, and pickle keeps both.
+    with pytest.raises(InvariantViolation) as info:
+        call()
+    e = info.value
+    assert str(e) == message
+    assert e.residual > e.tol > 0
+    back = pickle.loads(pickle.dumps(e))
+    assert (str(back), back.residual, back.tol) == (message, e.residual, e.tol)
 
 
 def test_eig_no_convergence_with_zero_budget():

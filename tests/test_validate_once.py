@@ -14,11 +14,14 @@ over an instrument's members in outcome order forms no new sum; the slot
 is one per map, holds the other members weakly and forms no cycle, and the
 comparison with ``10 * tol`` runs on every call.  The joint weight of an
 ordered pair ``(a, b)`` is computed once, equal to the bit to the checked
-composition, and kept on ``a`` in a weak reference to ``b`` whose death
-drops the entry; ``(b, a)`` is another entry, ``adjoint`` inherits
-none, a non-map partner raises on every call and leaves none, and no memo
-reaches its map.  ``adjoint`` inherits the CP verdict with the
-classification, so a time reversal's Kraus factor makes no eigensolve.
+composition, and kept on ``a`` in one weak-keyed dictionary per map, whose
+entry for ``b`` goes when ``b`` dies; ``(b, a)`` is another entry,
+``adjoint`` inherits none, a non-map partner raises on every call and
+leaves none, and no memo reaches its map.  A map keeps the joints of at
+most ``_MAX_JOINTS`` live partners, and an all-pairs sweep over 400 live
+maps grows the process's peak memory by a few MB.  ``adjoint`` inherits
+the CP verdict with the classification, so a time reversal's Kraus factor
+makes no eigensolve.
 A map built by ``from_kraus`` certifies its CP verdict from its kept Gram
 bound, so its ``classify`` makes one eigensolve fewer than a ``from_tensor``
 copy of the same matrix.
@@ -29,7 +32,10 @@ and ``_joint_weight`` in every module of the package that binds them.
 """
 
 import gc
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 import types
 import weakref
@@ -236,13 +242,18 @@ def test_map_and_cached_spectrum_are_read_only():
 def test_concurrent_first_calls_agree():
     # Threads racing on a map's first classify may each compute it; every
     # caller still sees an equal record, and later calls return the stored one.
+    # Threads racing on one map's joints see the checked formula's bits, and
+    # each can overshoot the cap by at most the one entry it was adding.
     gen = rng(308)
     maps = [rand_operation(gen, 2) for _ in range(12)]
     want = [r.classify(r.from_tensor(a.mat)) for a in maps]
+    a, partners = rand_operation(gen, 2), [rand_operation(gen, 2) for _ in range(superop._MAX_JOINTS + 16)]
+    want_joints = [_ref_cond(a, b, b) for b in partners]
     got = [[] for _ in range(4)]
 
     def work(out):
         out.extend(r.classify(a) for a in maps)
+        out.append([r.p_pred(a, b) for b in partners])
 
     threads = [threading.Thread(target=work, args=(out,)) for out in got]
     old = sys.getswitchinterval()
@@ -255,8 +266,9 @@ def test_concurrent_first_calls_agree():
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
-    assert all(out == want for out in got)
+    assert all(out == [*want, want_joints] for out in got)
     assert [r.classify(a) for a in maps] == want
+    assert superop._MAX_JOINTS <= len(_joints(a)) <= superop._MAX_JOINTS + len(threads) - 1
 
 
 def test_is_cp_after_classify_makes_no_eigensolve(eig_calls):
@@ -661,8 +673,9 @@ def test_estimates_build_each_instruments_stack_once(monkeypatch):
 
 
 def _joints(a) -> list:
-    """The joint weights kept on the map ``a``, one key per partner."""
-    return [key for key in a._memo if key[0] == "joint"]
+    """The partners whose joint weight the map ``a`` keeps, one
+    ``("joint", id(partner))`` per partner, in the order they were kept."""
+    return [("joint", id(b)) for b in a._memo.get(("joints", None), ())]
 
 
 def test_each_ordered_pair_computes_its_joint_once(monkeypatch):
@@ -764,6 +777,68 @@ def test_kept_joints_hold_no_cycle_and_the_adjoint_carries_none():
     assert not _joints(rev)
     assert r.p_pred(rev, rev) == _ref_cond(rev, rev, rev)
     assert _joints(rev) == [("joint", id(rev))] and not _reaches(rev._memo, rev)
+
+
+def test_a_map_keeps_the_joints_of_at_most_max_joints_live_partners(monkeypatch):
+    # Past the cap a partner's joint is computed on every call and not kept;
+    # kept or not, each value is the checked formula's to the bit, and a
+    # kept partner that dies frees its slot for the next one.
+    computed = _count_calls(monkeypatch, superop, "_joint_weight")
+    cap = superop._MAX_JOINTS
+    gen = rng(324)
+    old = gc.isenabled()
+    gc.disable()
+    try:
+        for d in (2, 3):
+            a = rand_operation(gen, d)
+            partners = [rand_operation(gen, d) for _ in range(cap + 16)]
+            want = [(_ref_cond(a, b, b), _ref_cond(a, b, a)) for b in partners]
+            computed.clear()
+            for calls in (cap + 32, cap + 64):
+                assert [(r.p_pred(a, b), r.p_retro(b, a)) for b in partners] == want
+                assert len(computed) == calls
+                assert _joints(a) == [("joint", id(b)) for b in partners[:cap]]
+            ref = weakref.ref(partners[0])
+            del partners[0]
+            assert ref() is None
+            assert len(_joints(a)) == cap - 1
+            assert r.p_pred(a, partners[-1]) == want[-1][0]
+            assert _joints(a)[-1] == ("joint", id(partners[-1])) and len(_joints(a)) == cap
+    finally:
+        if old:
+            gc.enable()
+
+
+def test_an_all_pairs_sweep_takes_bounded_memory():
+    # p_pred over all 160,000 ordered pairs of 400 live qubit projectors,
+    # classified first, so the sweep adds only joints.  Uncapped, one entry
+    # per pair grew the peak by 31-44 MB; capped, by about 4 MB.
+    ceiling_mb = 15
+    here = Path(__file__).parent
+    code = textwrap.dedent(
+        """
+        import resource, sys
+        import numpy as np
+        import retroops as r
+        gen = np.random.default_rng(5)
+        maps = []
+        for _ in range(400):
+            v = gen.normal(size=2) + 1j * gen.normal(size=2)
+            v /= np.linalg.norm(v)
+            maps.append(r.projecting(np.outer(v, v.conj())))
+            r.classify(maps[-1])
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        for a in maps:
+            for b in maps:
+                r.p_pred(a, b)
+        grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+        print(grown / (2**20 if sys.platform == "darwin" else 2**10))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < ceiling_mb
 
 
 def test_a_non_map_partner_raises_on_every_call_and_leaves_no_entry():

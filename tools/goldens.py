@@ -11,14 +11,17 @@ Run from the repository root with the command that starts the CLI:
     PYTHONPATH=src python3 tools/goldens.py          # python3 -m retroops
     python3 tools/goldens.py retroops                # an installed script
 
-Prints one line per mismatch and exits 1 if there is any.  The tests also
-run each case in their own process, through :func:`mismatch_in_process`.
+Prints one line per mismatch, in case order, and exits 1 if there is any.
+The cases run as subprocesses, at most one per CPU this process may use at
+a time.  The tests also run each case in their own process, through
+:func:`mismatch_in_process`.
 """
 
 import io
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -87,8 +90,12 @@ def _compare(name: str, code: int, returncode: int, stdout: bytes, stderr: str) 
 
 
 def mismatches(command: list) -> list:
-    """Every case's mismatch, and a golden file that has no case."""
-    found = [m for name, code, args in CASES if (m := mismatch(command, name, code, args))]
+    """Every case's mismatch, in case order, and a golden file that has no
+    case.  The cases run at most ``len(os.sched_getaffinity(0))`` at a time
+    (``os.cpu_count()`` where the platform has no affinity call)."""
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with ThreadPoolExecutor(workers) as pool:
+        found = [m for m in pool.map(lambda case: mismatch(command, *case), CASES) if m]
     names = {name for name, _, _ in CASES}
     return found + [f"{p.name}: no case" for p in sorted(GOLDEN.iterdir()) if p.name not in names]
 
