@@ -585,7 +585,10 @@ def main(argv=None) -> int:
         scn = load_scenario(args.scenario, tol)
         report = _report(scn, args, tol)
     except RetroOpsError as e:
-        print(json.dumps({"error": type(e).__name__, "message": str(e)}))
+        error = {"error": type(e).__name__, "message": str(e)}
+        if getattr(e, "residual", None) is not None:
+            error.update(residual=e.residual, tol=e.tol)
+        print(json.dumps(error))
         return EXIT_NUMERIC if isinstance(e, InvariantViolation) else EXIT_VALIDATION
     if args.json:
         print(json.dumps(report))

@@ -13,11 +13,23 @@ of a trial's node and its uniform ``u`` in ``[0, 1)``, the trial takes outcome
 tie goes to the later outcome, so ``u = 0`` never selects a leading
 zero-weight branch.
 
+:func:`estimate` reads two steps, the condition and the target, and samples
+only those.  An outcome nobody reads acts as its instrument's non-selective,
+summed operation (Davies and Lewis, Commun. Math. Phys. 17, 239, 1970), so
+each maximal run of unread steps, the one after the last read step
+included, is sampled as one one-outcome block: the product of the run's
+summed maps.  The joint law of the read outcomes is unchanged; the
+realisation for a given seed is not, since fewer uniforms are read.  A
+block's branch weight is its image's trace, so every step's trace still
+meets the ``tol / 10`` branch-sum check.  :func:`sample_sequence` reports
+every step, so it samples every step.
+
 One step is one BLAS product: the node states, kept as ``(nodes, d*d)``
-rows from step to step, times the instrument's components side by side,
-``(d*d, K*d*d)``, give every node's ``K`` images.  That component stack is
-built on an instrument's first sampled step and kept on the instrument,
-read-only (``K * d**4 * 16`` bytes, as much as its components).  The
+rows from step to step, times the step's component stack, the components
+side by side, ``(d*d, K*d*d)``, give every node's ``K`` images.  An
+instrument's stack is built on its first sampled step and kept on the
+instrument, read-only (``K * d**4 * 16`` bytes, as much as its
+components); a block's stack is its matrix transposed, built per call.  The
 weights are built node-major, ``(nodes, K)``: the real diagonal entries of
 each image added in index order (the first two in one call), then clamped
 at 0.  The cumulative weights are ``K`` contiguous ``(nodes,)`` rows, each
@@ -48,8 +60,9 @@ gives the same verdict because a trial can only select a weight that
 exists.
 
 Randomness comes from a Philox counter-based generator keyed by the 64-bit
-seed.  The uniform variate consumed by trial ``t`` at step ``s`` sits at
-flat counter position ``t * steps + s``; consecutive draws from one
+seed.  The uniform variate consumed by trial ``t`` at sampled step ``s``
+(a block is one step) sits at flat counter position ``t * steps + s``, for
+``steps`` sampled steps; consecutive draws from one
 generator continue that stream, so the chunks read exactly the uniforms one
 whole-matrix draw would, and results are bit-identical for any chunk size.
 
@@ -97,7 +110,9 @@ _CHUNK = 2**14
 #: trial-steps per second measured for 3e5 trials over 24 alternating Z/X
 #: qubit steps (median of 11 calls), on one core of a 2-CPU host with one
 #: BLAS thread.  It allows about 2e6 trial-steps at d = 8, K = 8 (7 s at 280k
-#: per second) and 6e4 at d = 16, K = 16 (5 s at 13.4k per second).
+#: per second) and 6e4 at d = 16, K = 16 (5 s at 13.4k per second).  The
+#: sum runs over every step, not over the sampled blocks of unread steps:
+#: the exact passes still walk every step, and the cap stays conservative.
 MAX_SAMPLED_WORK = 64 * 10**9
 
 
@@ -243,18 +258,22 @@ def _forward(instruments, totals: list, fixed: dict, rho: np.ndarray, tol: float
     return _as_probability(complex(v[:: len(rho) + 1].sum()), tol)
 
 
-def _sample_chunks(instruments, rho: np.ndarray, trials: int, gen: np.random.Generator, tol: float) -> Iterator:
+def _sample_chunks(steps, rho: np.ndarray, trials: int, gen: np.random.Generator, tol: float) -> Iterator:
     """The sampler over checked steps from the checked start state ``rho``:
     yields the outcome matrices of the ``trials`` in order, in chunks of at
-    most ``_CHUNK`` trials.  Each chunk is sampled by one call, so its arrays
-    are freed before the next chunk is drawn."""
+    most ``_CHUNK`` trials.  A step is an :class:`Instrument`, sampled
+    through its :func:`_stack`, or a ``(d*d, K*d*d)`` stack itself, such as
+    a one-outcome block of :func:`estimate`.  Each chunk is sampled by one
+    call, so its arrays are freed before the next chunk is drawn."""
+    stacks = [_stack(s) if isinstance(s, Instrument) else s for s in steps]
     for start in range(0, trials, _CHUNK):
-        yield _sample_chunk(instruments, rho, min(_CHUNK, trials - start), gen, tol)
+        yield _sample_chunk(stacks, rho, min(_CHUNK, trials - start), gen, tol)
 
 
-def _sample_chunk(instruments, rho: np.ndarray, trials: int, gen: np.random.Generator, tol: float) -> np.ndarray:
+def _sample_chunk(stacks: list, rho: np.ndarray, trials: int, gen: np.random.Generator, tol: float) -> np.ndarray:
     """Vectorised sampler: outcome index per (trial, step), from the next
-    ``trials * steps`` uniforms of ``gen``.
+    ``trials * steps`` uniforms of ``gen``, over each step's ``(d*d, K*d*d)``
+    component stack in ``stacks``.
 
     ``states`` holds one state row ``(d*d,)`` per occupied node and ``node``
     each trial's node.  After every step but the last the children
@@ -269,12 +288,12 @@ def _sample_chunk(instruments, rho: np.ndarray, trials: int, gen: np.random.Gene
     step), and the outcomes are returned as the ``(trials, steps)`` view.
     """
     states = rho.reshape(1, -1)
-    u = gen.random((trials, len(instruments))).T.copy()
+    u = gen.random((trials, len(stacks))).T.copy()
     node = np.zeros(trials, dtype=np.int64)
-    outcomes = np.zeros((len(instruments), trials), dtype=np.int64)
-    last = len(instruments) - 1
-    for s, inst in enumerate(instruments):
-        probs, images = _branch_probs(_stack(inst), states)
+    outcomes = np.zeros((len(stacks), trials), dtype=np.int64)
+    last = len(stacks) - 1
+    for s, mats in enumerate(stacks):
+        probs, images = _branch_probs(mats, states)
         n, k_count = probs.shape
         cum = np.empty((k_count, n))
         cum[0] = probs[:, 0]
@@ -335,8 +354,14 @@ def estimate(
     according to the temporal order of the two steps).  Deterministic for a
     fixed seed.  A raw ``prior`` is checked at ``tol``, branch sums at ``tol / 10``.
     More than :data:`MAX_SAMPLED_WORK` trials times ``K * d**4`` summed
-    over the steps is a :class:`ValidationError`, raised before any exact
+    over every step is a :class:`ValidationError`, raised before any exact
     value or draw.
+
+    Only the two read steps branch: each maximal run of unread steps, also
+    one after the last read step, is sampled as one one-outcome block, the
+    product of the run's summed maps (see the module docstring).  The law
+    of the report is the one sampling every step gives; for a given seed
+    the realisation differs whenever a step is unread.
 
     The inputs are checked once, up front; the exact values and the sampler
     then work on the checked steps, outcome indices and start state.  Only
@@ -369,11 +394,22 @@ def estimate(
         p_joint = _forward(instruments, totals, {c_step: c_idx, t_step: t_idx}, rho, tol)
     exact = _as_probability(complex(p_joint / p_cond), tol)
 
+    # Each read step is sampled as it is; each run of unread steps is one
+    # one-outcome block, the stack of its summed maps' product.
+    steps, col = [], {}
+    for s, inst in enumerate(instruments):
+        if s in (c_step, t_step):
+            col[s] = len(steps)
+            steps.append(inst)
+        elif s and s - 1 not in col:
+            steps[-1] = steps[-1] @ totals[s].mat.T
+        else:
+            steps.append(totals[s].mat.T)
     hits = both = 0
-    for outcomes in _sample_chunks(instruments, rho, trials, gen, tol):
-        mask_c = outcomes[:, c_step] == c_idx
+    for outcomes in _sample_chunks(steps, rho, trials, gen, tol):
+        mask_c = outcomes[:, col[c_step]] == c_idx
         hits += int(np.count_nonzero(mask_c))
-        both += int(np.count_nonzero(mask_c & (outcomes[:, t_step] == t_idx)))
+        both += int(np.count_nonzero(mask_c & (outcomes[:, col[t_step]] == t_idx)))
     if hits == 0:
         raise NoConditionHits("the conditioning outcome never occurred")
     empirical = both / hits

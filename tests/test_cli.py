@@ -120,6 +120,18 @@ def test_exit_code_parse_error(tmp_path):
     assert "line" in report["message"]
 
 
+def test_invariant_errors_carry_their_numbers(capsys):
+    # A failed branch-sum check prints its |sum - 1| and the bound tol / 10
+    # next to the unchanged message; an error without them prints neither.
+    argv = ["--scenario", OFFSUM, "--json", "simulate", "--steps", "Zoff", "--condition", "0:+", "--target", "0:+"]
+    assert cli.main(argv) == cli.EXIT_NUMERIC
+    out = json.loads(capsys.readouterr().out)
+    assert out["message"] == "branch probabilities sum to 0.9999999985, not 1"
+    assert out["residual"] == pytest.approx(1.5e-9, rel=1e-6) and out["tol"] == r.DEFAULT_TOL / 10
+    assert cli.main(["--scenario", OFFSUM, "--json", "check", "nope"]) == cli.EXIT_VALIDATION
+    assert set(json.loads(capsys.readouterr().out)) == {"error", "message"}
+
+
 def test_tol_reaches_the_sampler_branch_check():
     # Branch sums are checked within tol / 10: --tol 1e-6 admits the
     # off-normalised instrument that the default tolerance rejects above.

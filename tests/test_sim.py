@@ -477,9 +477,10 @@ def test_chunk_size_does_not_change_errors(monkeypatch):
 
 
 def test_estimate_memory_is_bounded_in_trials():
-    # 3e5 trials over 24 alternating Z/X steps: one (trials, steps) matrix of
-    # uniforms and one of outcomes, plus a history node per trial, peak at
-    # about 300 MB of RSS; sampled in chunks, the process stays near 55 MB.
+    # 3e6 trials over 24 alternating Z/X steps, which estimate samples as 3:
+    # one (trials, steps) matrix of uniforms and one of outcomes, plus a
+    # history node per trial, peak at about 200 MB of RSS; sampled in
+    # chunks, the process stays near 40 MB.
     ceiling_mb = 100
     here = Path(__file__).parent
     code = textwrap.dedent(
@@ -488,8 +489,8 @@ def test_estimate_memory_is_bounded_in_trials():
         import retroops as r
         from helpers import x_instrument, z_instrument
         insts = [z_instrument(), x_instrument()] * 12
-        rep = r.estimate(insts, condition=(23, "+"), target=(0, "+"), trials=300_000, seed=5)
-        assert rep.trials == 300_000 and rep.abs_err < 5 * rep.std_err, rep
+        rep = r.estimate(insts, condition=(23, "+"), target=(0, "+"), trials=3_000_000, seed=5)
+        assert rep.trials == 3_000_000 and rep.abs_err < 5 * rep.std_err, rep
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         print(peak / (2**20 if sys.platform == "darwin" else 2**10))
         """
@@ -564,3 +565,115 @@ def test_scalar_sampler_agreement_at_larger_dims():
         rho = np.eye(n, dtype=complex) / n
         for t in range(200):
             assert outcomes[t].tolist() == scalar_outcomes(insts, rho, philox_row(seed, t, len(insts)))
+
+
+def test_estimate_reading_every_step_is_the_full_sampler_bit_for_bit():
+    # With every step read there is no block, so the report is the one the
+    # sampler over the full step list gives, to the bit: its hits and
+    # frequency are counted from that sampler's outcome matrix.  One-step
+    # runs read their step as condition and target, with the same or
+    # another outcome; two-step runs read both steps, in both orders.
+    gen = rng(97)
+    z, x = z_instrument(), x_instrument()
+    unsharp = unsharp_instrument(gen, 3, 3)
+    sharp = r.make_instrument({str(j): op for j, op in enumerate(luders_resolution(gen, 3))}, name="L3")
+    m = rand_psd(gen, 3)
+    mixed = m / np.trace(m).real
+    cases = [
+        ([z], (0, "+"), (0, "+"), None),
+        ([unsharp], (0, "e1"), (0, "e1"), mixed),
+        ([unsharp], (0, "e1"), (0, "e2"), None),
+        ([z, x], (1, "+"), (0, "+"), None),
+        ([x, z], (0, "-"), (1, "+"), PZP),
+        ([unsharp, sharp], (1, "2"), (0, "e0"), mixed),
+        ([sharp, unsharp], (0, "1"), (1, "e2"), None),
+    ]
+    for insts, cond, target, prior in cases:
+        for trials, seed in ((300, 4), (40_000, 5)):
+            rep = r.estimate(insts, cond, target, trials, seed=seed, prior=prior)
+            outcomes = _outcome_matrix(insts, prior, trials, philox(seed))
+            (c_step, c_out), (t_step, t_out) = cond, target
+            mask = outcomes[:, c_step] == insts[c_step].outcomes.index(c_out)
+            hits = int(mask.sum())
+            both = int((mask & (outcomes[:, t_step] == insts[t_step].outcomes.index(t_out))).sum())
+            empirical = both / hits
+            std_err = float(np.sqrt(rep.exact * (1.0 - rep.exact) / hits))
+            assert rep == r.FreqReport(trials, hits, empirical, rep.exact, abs(empirical - rep.exact), std_err)
+
+
+def test_unread_steps_keep_the_law_of_the_read_outcomes():
+    # Each run of unread steps is sampled as one one-outcome block, which
+    # keeps the joint law of the read outcomes.  Bounds, stated before the
+    # run: over 200 seeds of 400 trials each, over 6-8 steps at d = 2..4 and
+    # K = 2..3 with unread runs at the start, in the middle and at the end,
+    # the mean of z = (empirical - exact) / std_err lies in [-0.25, 0.25]
+    # (about 3.5 standard errors of a mean of 200 unit-variance values) and
+    # the share of runs within 2 sigma lies in [0.92, 0.98].
+    gen = rng(98)
+    pools = {(d, k): [unsharp_instrument(gen, d, k) for _ in range(4)] for d in (2, 3, 4) for k in (2, 3)}
+    zs = []
+    for seed in range(200):
+        d, k, n = 2 + seed % 3, 2 + seed // 3 % 2, 6 + seed % 3
+        pool = pools[d, k]
+        insts = [pool[i] for i in gen.integers(len(pool), size=n)]
+        early = int(gen.integers(1, n - 3))
+        late = int(gen.integers(early + 2, n - 1))
+        (c_step, t_step) = (late, early) if seed % 2 else (early, late)
+        cond = (c_step, insts[c_step].outcomes[int(gen.integers(k))])
+        target = (t_step, insts[t_step].outcomes[int(gen.integers(k))])
+        rep = r.estimate(insts, cond, target, 400, seed=seed)
+        zs.append((rep.empirical - rep.exact) / rep.std_err)
+    zs = np.array(zs)
+    assert -0.25 <= zs.mean() <= 0.25, zs.mean()
+    assert 0.92 <= np.mean(np.abs(zs) <= 2.0) <= 0.98, np.mean(np.abs(zs) <= 2.0)
+
+
+def test_each_run_of_unread_steps_is_one_sampler_step(monkeypatch):
+    # Sixteen qubit steps that read steps 0 and 15 make 3 sampler steps: the
+    # two read instruments' stacks and, between them, one block whose stack
+    # is the transposed product of the summed maps of steps 1..14, in step
+    # order (the unsharp steps' summed maps do not commute).  A run after
+    # the last read step stays a block of its own.
+    gen = rng(99)
+    z, x = z_instrument(), x_instrument()
+    steps = [z] + [unsharp_instrument(gen, 2, 2 + s % 2) for s in range(14)] + [x]
+    sampled = []
+    chunk = sim._sample_chunk
+
+    def recorded(stacks, *args):
+        sampled.append(stacks)
+        return chunk(stacks, *args)
+
+    monkeypatch.setattr(sim, "_sample_chunk", recorded)
+    r.estimate(steps, (15, "-"), (0, "+"), 1000, seed=1)
+    (stacks,) = sampled
+    assert [m.shape for m in stacks] == [(4, 8), (4, 4), (4, 8)]
+    assert stacks[0] is sim._stack(z) and stacks[2] is sim._stack(x)
+    block = np.eye(4)
+    for inst in steps[1:15]:
+        block = r.summed(inst, inst.outcomes).mat @ block
+    assert np.allclose(stacks[1], block.T, rtol=0, atol=1e-14)
+    assert not np.allclose(stacks[1], np.linalg.multi_dot([r.summed(i, i.outcomes).mat for i in steps[1:15]]).T)
+    sampled.clear()
+    r.estimate(steps, (7, "e0"), (0, "+"), 1000, seed=1)
+    assert [m.shape for m in sampled[0]] == [(4, 8), (4, 4), (4, 4 * len(steps[7].outcomes)), (4, 4)]
+
+
+def test_a_lossy_unread_step_fails_the_branch_check():
+    # Components summing to diag(1 - 2e-9, 1 - 4e-9) fail the sampler's
+    # tol / 10 branch check though no outcome of theirs is read: within a
+    # block, in the middle of an unread run between the read steps and at
+    # the end of the unread run after them.  Node 0's state is |0><0| there,
+    # so the error carries its residual 2e-9.
+    z, x = z_instrument(), x_instrument()
+    lossy = r.make_instrument(
+        {"+": r.scale(r.projecting(PZP), 1 - 2e-9), "-": r.scale(r.projecting(PZM), 1 - 4e-9)},
+        name="lossy",
+    )
+    for steps, condition, target in (
+        ([z, z, lossy, x, z], (4, "+"), (0, "+")),
+        ([x, z, z, lossy], (1, "+"), (0, "+")),
+    ):
+        with pytest.raises(InvariantViolation, match=r"^branch probabilities sum to 0\.999999998, not 1$") as info:
+            r.estimate(steps, condition, target, trials=100, seed=1)
+        assert info.value.residual == pytest.approx(2e-9, rel=1e-6) and info.value.tol == r.DEFAULT_TOL / 10

@@ -11,8 +11,13 @@ speed falls on both sides alike.
 * ``sample``: ``estimate`` of "outcome 0 at the first step" given "outcome
   0 at the last" over instruments that alternate a projective measurement
   in a random basis and a ``K``-outcome unsharp one, built once per point.
-  The two reports must be equal to the bit and the type, or both calls
-  raise the same error.
+  ``estimate`` samples each run of unread steps as one block, which keeps
+  the law of its report but not the realisation for a seed, so the two
+  reports must agree as follows, or both calls raise the same error: the
+  ``trials`` and ``exact`` fields equal to the bit, each tree's
+  ``empirical`` within ``5 * std_err`` of its ``exact`` (the benchmark's
+  rule), and the whole report equal to the bit and the type only at points
+  that read every step (two steps).
 * ``query``: on fresh instruments per unit, validated and with the summed
   events classified untimed, a cold pass on the fresh maps and then a warm
   pass repeating the same queries, per family: ``pred/retro`` (``p_pred``
@@ -123,9 +128,12 @@ def sample(ro, point: int, d: int, k: int, trials: int, steps: int):
 
     def estimate(seed):
         try:
-            return astuple(ro.estimate(insts, (steps - 1, "0"), (0, "0"), trials, seed=seed))
+            rep = ro.estimate(insts, (steps - 1, "0"), (0, "0"), trials, seed=seed)
         except ro.RetroOpsError as e:
             return type(e).__name__, str(e)
+        if abs(rep.empirical - rep.exact) > 5 * rep.std_err:
+            raise Disagreement(f"empirical {rep.empirical} is more than 5 std_err from exact {rep.exact}")
+        return astuple(rep) if steps <= 2 else (rep.trials, rep.exact)
 
     return lambda timed, seed: {"estimate": timed("estimate", estimate, seed)}
 
