@@ -51,7 +51,7 @@ def _conditional(a: Superoperator, b: Superoperator, joint: tuple, tol: float, c
         _require_operation(b, tol, "second argument")
     wb = _weight(b, tol)
     if wb / b.dim <= tol:
-        raise ZeroCondition("conditioning operation has zero event weight")
+        raise ZeroCondition("conditioning operation has zero event weight", residual=wb / b.dim, tol=tol)
     return _as_probability(_composed_weight(*joint) / wb, tol)
 
 
@@ -100,7 +100,7 @@ def _bayes(joint, a_list, b: Superoperator, j: int, tol: float) -> float:
         raise ValidationError(f"index {j} out of range for a {len(a_list)}-member resolution")
     _require_operation(b, tol, "condition")
     if _weight(b, tol) / b.dim <= tol:
-        raise ZeroCondition("condition has zero unconditional probability")
+        raise ZeroCondition("condition has zero unconditional probability", residual=_weight(b, tol) / b.dim, tol=tol)
     weights = [_weight(a, tol) for a in a_list]
     terms = [
         _as_probability(_composed_weight(*joint(b, a)) / w, tol) * _as_probability(w / a.dim, tol) if w > tol else 0.0
@@ -108,7 +108,7 @@ def _bayes(joint, a_list, b: Superoperator, j: int, tol: float) -> float:
     ]
     total = sum(terms)
     if total <= tol:
-        raise ZeroCondition("normalisation of the Bayes formula vanished")
+        raise ZeroCondition("normalisation of the Bayes formula vanished", residual=total, tol=tol)
     return _as_probability(complex(terms[j] / total), tol)
 
 

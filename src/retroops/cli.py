@@ -586,7 +586,7 @@ def main(argv=None) -> int:
         report = _report(scn, args, tol)
     except RetroOpsError as e:
         error = {"error": type(e).__name__, "message": str(e)}
-        if getattr(e, "residual", None) is not None:
+        if e.residual is not None:
             error.update(residual=e.residual, tol=e.tol)
         print(json.dumps(error))
         return EXIT_NUMERIC if isinstance(e, InvariantViolation) else EXIT_VALIDATION

@@ -1,8 +1,24 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Every error has one shape.  Where a tolerance check failed, ``residual`` is
+the quantity the failed comparison read and ``tol`` the bound it was
+compared with; every other error carries ``None`` in both.  A check fails
+when ``residual`` exceeds ``tol``, except a vanishing condition
+(:class:`ZeroCondition`), which fails when its probability is at most
+``tol``.
+"""
 
 
 class RetroOpsError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors, and the one ``__init__``:
+    the message, then ``residual`` and ``tol`` (see the module docstring).
+    The defaults let pickle rebuild an error from its message; it then
+    restores both numbers."""
+
+    def __init__(self, message: str, *, residual: float | None = None, tol: float | None = None):
+        super().__init__(message)
+        self.residual = residual
+        self.tol = tol
 
 
 class DimensionMismatch(RetroOpsError):
@@ -10,20 +26,8 @@ class DimensionMismatch(RetroOpsError):
 
 
 class NotHermitian(RetroOpsError):
-    """A matrix required to be Hermitian fails the tolerance check.
-
-    ``defect`` is ``|m - m*|_F``, ``scale`` is ``max(1, |m|_F)`` and ``tol``
-    the relative bound: the check failed because ``defect > tol * scale``.
-    The defaults let pickle rebuild the error from its message; it then
-    restores the three numbers.
-    """
-
-    def __init__(self, message: str, *, defect: float | None = None, scale: float | None = None,
-                 tol: float | None = None):
-        super().__init__(message)
-        self.defect = defect
-        self.scale = scale
-        self.tol = tol
+    """A matrix required to be Hermitian fails the tolerance check; it
+    carries ``|m - m*|_F`` and ``tol * max(1, |m|_F)``."""
 
 
 class NotCP(RetroOpsError):
@@ -31,61 +35,37 @@ class NotCP(RetroOpsError):
 
 
 class NotProjector(RetroOpsError):
-    """Builder input fails the P = P* = P^2 check."""
+    """Builder input fails the P = P* = P^2 check; it carries the ``P = P*``
+    numbers of :class:`NotHermitian`, or ``max |P^2 - P|`` and ``tol``."""
 
 
 class NotUnitary(RetroOpsError):
-    """Builder input fails the U*U = I check."""
+    """Builder input fails the U*U = I check; it carries ``max |U*U - I|`` and ``tol``."""
 
 
 class NotOperation(RetroOpsError):
     """A superoperator required to be an operation (CP, sub-unital, sub-tracial) is not."""
 
 
-class _SumDeviation(RetroOpsError):
-    """A family of operations whose sum fails the trivial-sum check.
-
-    ``dev_out`` is ``|sum(I) - I|`` and ``dev_in`` is
-    ``|adjoint(sum)(I) - I|``, each the largest entry, and ``bound`` is
-    ``10 * tol``: the check failed because one deviation exceeds ``bound``.
-    The fields are ``None`` where no sum was formed.  As for
-    :class:`NotHermitian`, the defaults let pickle rebuild the error from
-    its message; it then restores the three numbers.
-    """
-
-    def __init__(self, message: str, *, dev_in: float | None = None, dev_out: float | None = None,
-                 bound: float | None = None):
-        super().__init__(message)
-        self.dev_in = dev_in
-        self.dev_out = dev_out
-        self.bound = bound
+class NotResolution(RetroOpsError):
+    """A family of operations does not sum to a trivial operation.  Where a
+    sum was formed it carries ``max(|sum(I) - I|, |adjoint(sum)(I) - I|)``,
+    each the largest entry, and ``10 * tol``; the message gives both
+    deviations."""
 
 
-class NotResolution(_SumDeviation):
-    """A family of operations does not sum to a trivial operation."""
-
-
-class NotTrivialSum(_SumDeviation):
-    """Instrument components do not sum to a unital, trace-preserving map."""
+class NotTrivialSum(RetroOpsError):
+    """Instrument components do not sum to a unital, trace-preserving map;
+    it carries the numbers :class:`NotResolution` does."""
 
 
 class ZeroCondition(RetroOpsError):
-    """A conditional probability was requested with a zero-weight condition."""
+    """A conditional probability was requested with a zero-weight condition;
+    it carries the vanishing probability and ``tol``."""
 
 
 class InvariantViolation(RetroOpsError):
-    """A numerical quantity violated an invariant by more than the tolerance.
-
-    ``residual`` is the deviation the check measured and ``tol`` the bound
-    it exceeded, where the raising check records them, else ``None``.  As
-    for :class:`NotHermitian`, the defaults let pickle rebuild the error
-    from its message; it then restores the two numbers.
-    """
-
-    def __init__(self, message: str, *, residual: float | None = None, tol: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-        self.tol = tol
+    """A numerical quantity violated an invariant by more than the tolerance."""
 
 
 class ZeroProbabilityBranch(RetroOpsError):

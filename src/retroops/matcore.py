@@ -79,15 +79,14 @@ def _require_hermitian(m: np.ndarray, tol: float, what: str = "matrix") -> np.nd
     """The Hermitian part ``(m + m*) / 2`` of ``m``, or :class:`NotHermitian`
     unless ``|m - m*|_F <= tol * max(1, |m|_F)``.  The Frobenius norm is
     unitarily invariant, so the verdict does not depend on the basis.  Both
-    norms come from one conjugate transpose, each as ``sqrt(vdot(x, x))``."""
+    norms come from one conjugate transpose, each as ``sqrt(vdot(x, x))``;
+    the error carries ``|m - m*|_F`` and ``tol * max(1, |m|_F)``."""
     h = m.conj().T
     skew = m - h
     defect = math.sqrt(np.vdot(skew, skew).real)
     scale = max(1.0, math.sqrt(np.vdot(m, m).real))
-    if defect > tol * scale:
-        raise NotHermitian(
-            f"{what} deviates from Hermitian by {defect:.3e} (scale {scale:.3e})", defect=defect, scale=scale, tol=tol
-        )
+    _require_within(defect, tol * scale, "{} deviates from Hermitian by {:.3e} (scale {:.3e})", what, defect, scale,
+                    error=NotHermitian)
     return (m + h) / 2.0
 
 
@@ -107,12 +106,13 @@ def _psd_defect(eigenvalues: np.ndarray, tol: float) -> tuple:
     return float(-eigenvalues[0]), float(tol * max(1.0, abs(eigenvalues[-1])))
 
 
-def _require_within(residual: float, bound: float, message: str, *args) -> None:
-    """:class:`InvariantViolation` with ``message.format(*args)``, carrying
-    ``residual`` and ``bound`` as its ``residual`` and ``tol``, unless
-    ``residual <= bound``; the message is formatted only to raise."""
+def _require_within(residual: float, bound: float, message: str, *args, error=InvariantViolation) -> None:
+    """``error`` with ``message.format(*args)``, carrying ``residual`` and
+    ``bound`` as its ``residual`` and ``tol``, unless ``residual <= bound``;
+    the message is formatted only to raise.  The raise of every bound check
+    that does not run per query."""
     if not residual <= bound:
-        raise InvariantViolation(message.format(*args), residual=residual, tol=bound)
+        raise error(message.format(*args), residual=residual, tol=bound)
 
 
 def _as_probability(value: complex, tol: float) -> float:

@@ -20,9 +20,11 @@ each maximal run of unread steps, the one after the last read step
 included, is sampled as one one-outcome block: the product of the run's
 summed maps.  The joint law of the read outcomes is unchanged; the
 realisation for a given seed is not, since fewer uniforms are read.  A
-block's branch weight is its image's trace, so every step's trace still
-meets the ``tol / 10`` branch-sum check.  :func:`sample_sequence` reports
-every step, so it samples every step.
+block's branch weight is its image's trace, the compound trace of the
+whole run, so the ``tol / 10`` branch-sum check reads the block, not each
+step: per-step losses inside the bound can add up past it over a run, and
+whether a run is accepted depends on which steps are read.
+:func:`sample_sequence` reports every step, so it samples every step.
 
 One step is one BLAS product: the node states, kept as ``(nodes, d*d)``
 rows from step to step, times the step's component stack, the components
@@ -361,7 +363,10 @@ def estimate(
     one after the last read step, is sampled as one one-outcome block, the
     product of the run's summed maps (see the module docstring).  The law
     of the report is the one sampling every step gives; for a given seed
-    the realisation differs whenever a step is unread.
+    the realisation differs whenever a step is unread.  A block's branch
+    sum is its run's compound trace, so per-step losses each within
+    ``tol / 10`` can fail the check once a block holds several: which runs
+    are accepted depends on the two read steps.
 
     The inputs are checked once, up front; the exact values and the sampler
     then work on the checked steps, outcome indices and start state.  Only
@@ -387,7 +392,7 @@ def estimate(
     totals = _totals(instruments)
     p_cond = _forward(instruments, totals, {c_step: c_idx}, rho, tol)
     if p_cond <= tol:
-        raise ZeroCondition("conditioning outcome has zero exact probability")
+        raise ZeroCondition("conditioning outcome has zero exact probability", residual=p_cond, tol=tol)
     if c_step == t_step and c_idx != t_idx:
         p_joint = 0.0
     else:

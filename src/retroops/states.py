@@ -62,7 +62,7 @@ class DensityMatrix:
             spectrum = hermitian_eig(m, tol / 10)
         except NotHermitian as e:
             raise InvariantViolation(
-                f"density matrix is not Hermitian within {tol / 10:g}", residual=e.defect, tol=e.tol * e.scale
+                f"density matrix is not Hermitian within {tol / 10:g}", residual=e.residual, tol=e.tol
             ) from None
         m = (m + m.conj().T) / 2.0
         _require_within(*_psd_defect(spectrum, tol), "density matrix is not positive semidefinite within {:g}", tol)
@@ -108,7 +108,7 @@ def _inferred_state(a: Superoperator, direction: int, tol: float) -> DensityMatr
         m = _require_hermitian(_effect_pair(a.dim, a.mat)[direction], tol, "operation image")
         w = float(m.trace().real)
         if w / a.dim <= tol:
-            raise ZeroCondition("operation has zero event weight; no state is inferable")
+            raise ZeroCondition("operation has zero event weight; no state is inferable", residual=w / a.dim, tol=tol)
         return DensityMatrix(m / w, tol)
 
     return _memoised(a, ("state", direction), tol, infer)
@@ -160,5 +160,5 @@ def expect(rho: DensityMatrix, obs, tol: float = DEFAULT_TOL) -> float:
     try:
         obs = _require_hermitian(obs, tol, "observable")
     except NotHermitian as e:
-        raise InvariantViolation(str(e), residual=e.defect, tol=e.tol * e.scale) from None
+        raise InvariantViolation(str(e), residual=e.residual, tol=e.tol) from None
     return float(np.trace(rho.matrix @ obs).real)

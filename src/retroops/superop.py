@@ -92,7 +92,9 @@ from .errors import (
     NotUnitary,
     ValidationError,
 )
-from .matcore import DEFAULT_TOL, _complex_array, _is_int, _require_finite, _require_hermitian, as_matrix, is_psd
+from .matcore import (
+    DEFAULT_TOL, _complex_array, _is_int, _require_finite, _require_hermitian, _require_within, as_matrix, is_psd
+)
 
 
 #: The trivial-sum bound ``10 * tol`` of a resolution at the default tolerance.
@@ -502,7 +504,9 @@ def _require_trivial_sum(ops, tol: float, error, what: str) -> None:
     pair takes no tolerance, so it is kept in one slot on the first member,
     next to weak references to the other members: a later call over the
     same members in the same order reads it, and only the comparison with
-    ``10 * tol`` runs again.
+    ``10 * tol`` runs again, inline, since a Bayes formula runs it per call.
+    The error carries the larger deviation and ``10 * tol``; its message
+    gives both deviations.
     """
     ops = tuple(ops)
     d = _common_dim(ops, "superoperators")
@@ -513,10 +517,9 @@ def _require_trivial_sum(ops, tol: float, error, what: str) -> None:
     else:
         dev_in, dev_out = map(_deviation, _effect_pair(d, reduce(np.add, (a.mat for a in ops))))
         ops[0]._memo["family", None] = tuple(map(weakref.ref, rest)), (dev_in, dev_out)
-    bound = 10 * tol
-    if max(dev_out, dev_in) > bound:
+    if max(dev_out, dev_in) > 10 * tol:
         raise error(f"{what}; |sum(I) - I| = {dev_out:.3e}, |adjoint(sum)(I) - I| = {dev_in:.3e}",
-                    dev_in=dev_in, dev_out=dev_out, bound=bound)
+                    residual=max(dev_out, dev_in), tol=10 * tol)
 
 
 def unit(dim: int) -> Superoperator:
@@ -537,17 +540,17 @@ def projecting(p, tol: float = DEFAULT_TOL) -> Superoperator:
     try:
         _require_hermitian(p, tol, "projector")
     except NotHermitian as e:
-        raise NotProjector(f"input must satisfy P = P*: {e}") from None
-    if np.abs(p @ p - p).max() > tol:
-        raise NotProjector("input must satisfy P = P^2 within tolerance")
+        raise NotProjector(f"input must satisfy P = P*: {e}", residual=e.residual, tol=e.tol) from None
+    _require_within(float(np.abs(p @ p - p).max()), tol, "input must satisfy P = P^2 within tolerance",
+                    error=NotProjector)
     return from_kraus([p])
 
 
 def unitary(u, tol: float = DEFAULT_TOL) -> Superoperator:
     """The map ``A -> U A U*`` for a unitary ``U``."""
     u = as_matrix(u)
-    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > tol:
-        raise NotUnitary("input must satisfy U*U = I within tolerance")
+    _require_within(float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()), tol,
+                    "input must satisfy U*U = I within tolerance", error=NotUnitary)
     return from_kraus([u])
 
 

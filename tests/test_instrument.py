@@ -62,8 +62,9 @@ def test_nontrivial_sum_message_names_each_image():
 
 
 def test_trivial_sum_errors_carry_their_numbers_through_pickle():
-    # Each error carries the two deviations and the bound 10 * tol as
-    # fields; pickle rebuilds it from its message and restores them.
+    # Each error carries the larger of the two deviations and the bound
+    # 10 * tol as its residual and tol, and its message gives both
+    # deviations; pickle rebuilds it from its message and restores them.
     decay = [r.from_kraus([np.array(k, dtype=complex)]) for k in ([[1, 0], [0, 0]], [[0, 1], [0, 0]])]
     errors = []
     for kind, fail in (
@@ -73,14 +74,16 @@ def test_trivial_sum_errors_carry_their_numbers_through_pickle():
         with pytest.raises(kind) as info:
             fail()
         errors.append(info.value)
-    assert [(e.dev_out, e.dev_in, e.bound) for e in errors] == [(1.0, 0.0, SUM_TOL), (0.0, 1.0, 10 * 1e-7)]
+    assert [(e.residual, e.tol) for e in errors] == [(1.0, SUM_TOL), (1.0, 10 * 1e-7)]
+    for e, (dev_out, dev_in) in zip(errors, (("1.000e+00", "0.000e+00"), ("0.000e+00", "1.000e+00"))):
+        assert str(e).endswith(f"|sum(I) - I| = {dev_out}, |adjoint(sum)(I) - I| = {dev_in}")
     errors.append(NotResolution("resolution must be nonempty"))
     for e in errors:
         back = pickle.loads(pickle.dumps(e))
         assert type(back) is type(e)
         assert str(back) == str(e)
-        assert (back.dev_in, back.dev_out, back.bound) == (e.dev_in, e.dev_out, e.bound)
-    assert (errors[-1].dev_in, errors[-1].dev_out, errors[-1].bound) == (None, None, None)
+        assert (back.residual, back.tol) == (e.residual, e.tol)
+    assert (errors[-1].residual, errors[-1].tol) == (None, None)
 
 
 def test_make_instrument_rejects_empty_and_mixed_dims():

@@ -1,5 +1,6 @@
 """The package's public names, and the typed errors for inputs of the wrong container or value type."""
 
+import pickle
 import types
 
 import numpy as np
@@ -172,3 +173,60 @@ def test_a_finite_real_scale_factor_still_works():
     pz = z_instrument().op("+")
     for c, want in ((0, 0.0), (np.float64(0.5), 0.5), (2, 2.0), (np.int64(3), 3.0)):
         assert r.scale(pz, c).mat[0, 0] == want
+
+
+_DECAY = [((1, 0), (0, 0)), ((0, 1), (0, 0))]
+
+#: Each error a failed comparison raises, through the public API: the
+#: error's type and the call.  ``InvariantViolation``'s checks have their own
+#: test in ``test_matcore.py``.
+_FAILED_COMPARISONS = {
+    "NotHermitian": (r.NotHermitian, lambda: r.hermitian_eig([[0, 1], [0, 0]])),
+    "NotTrivialSum": (
+        r.NotTrivialSum, lambda: r.make_instrument({str(k): r.from_kraus([m]) for k, m in enumerate(_DECAY)})
+    ),
+    "NotResolution": (
+        r.NotResolution, lambda: r.bayes_retrodict([r.adjoint(r.from_kraus([m])) for m in _DECAY], r.unit(2), 0)
+    ),
+    "NotProjector-hermitian": (r.NotProjector, lambda: r.projecting([[0, 1], [0, 0]])),
+    "NotProjector-idempotent": (r.NotProjector, lambda: r.projecting(np.eye(2) / 2)),
+    "NotUnitary": (r.NotUnitary, lambda: r.unitary(2 * np.eye(2))),
+    "ZeroCondition-conditional": (r.ZeroCondition, lambda: r.p_pred(r.unit(2), r.zero(2))),
+    "ZeroCondition-bayes-condition": (r.ZeroCondition, lambda: r.bayes_retrodict([r.unit(2)], r.zero(2), 0)),
+    "ZeroCondition-bayes-normalisation": (
+        r.ZeroCondition, lambda: r.bayes_retrodict([r.scale(r.unit(2), 0.25)] * 4, r.unit(2), 0, tol=0.5)
+    ),
+    "ZeroCondition-state": (r.ZeroCondition, lambda: r.state_prior(r.zero(2))),
+    "ZeroCondition-estimate": (
+        r.ZeroCondition, lambda: r.estimate([z_instrument()], (0, "+"), (0, "+"), 10, prior=PZM)
+    ),
+}
+
+#: Errors that no tolerance check raises, so they carry ``None``.
+_UNCOMPARED = {
+    "ValidationError": (r.ValidationError, lambda: r.scale(r.unit(2), -1.0)),
+    "DimensionMismatch": (r.DimensionMismatch, lambda: r.compose(r.unit(2), r.unit(3))),
+    "NotOperation": (r.NotOperation, lambda: r.p_prior(r.scale(r.unit(2), 3.0))),
+    "NotCP": (r.NotCP, lambda: r.extract_kraus(r.from_tensor(np.eye(4)[[0, 2, 1, 3]]))),
+}
+
+
+@pytest.mark.parametrize("case", [*_FAILED_COMPARISONS, *_UNCOMPARED])
+def test_every_error_has_one_shape(case):
+    # A failed comparison's error carries the quantity it read as residual
+    # and the bound as tol, both floats on the failing side: above tol, or
+    # at most tol for a vanishing condition.  Any other error carries None.
+    # Pickle keeps the message and both numbers.
+    kind, call = {**_FAILED_COMPARISONS, **_UNCOMPARED}[case]
+    with pytest.raises(kind) as info:
+        call()
+    e = info.value
+    assert type(e) is kind
+    if case in _UNCOMPARED:
+        assert (e.residual, e.tol) == (None, None)
+    else:
+        assert isinstance(e.residual, float) and isinstance(e.tol, float)
+        assert e.residual <= e.tol if kind is r.ZeroCondition else e.residual > e.tol
+    back = pickle.loads(pickle.dumps(e))
+    assert type(back) is kind
+    assert (str(back), back.residual, back.tol) == (str(e), e.residual, e.tol)

@@ -349,6 +349,24 @@ def test_branch_sum_violation_reports_first_node():
     assert (str(back), back.residual, back.tol) == (str(e), e.residual, e.tol)
 
 
+def test_block_branch_check_reads_the_compound_trace():
+    # Components losing 6e-11 each pass the 1e-10 branch check one step at a
+    # time.  A run of unread steps is one block, and its check reads the
+    # run's compound trace, so two lossy steps in one block lose 1.2e-10 and
+    # fail it: whether a run is accepted depends on which steps are read.
+    z = z_instrument()
+    lossy = r.make_instrument(
+        {"+": r.scale(r.projecting(PZP), 1 - 6e-11), "-": r.scale(r.projecting(PZM), 1 - 6e-11)}, name="lossy"
+    )
+    assert r.estimate([z, lossy, z], (2, "+"), (0, "+"), 100).exact == 1.0
+    for steps in ([z, lossy, lossy, z], [z, lossy, z, lossy, z]):
+        with pytest.raises(InvariantViolation, match=r"^branch probabilities sum to 0\.99999999988, not 1$") as info:
+            r.estimate(steps, (len(steps) - 1, "+"), (0, "+"), 100)
+        assert info.value.residual == pytest.approx(1.2e-10, rel=1e-6) and info.value.tol == r.DEFAULT_TOL / 10
+    # Reading the first lossy step splits the block, and the same steps pass.
+    assert r.estimate([z, lossy, lossy, z], (3, "+"), (1, "+"), 100).exact == 1.0
+
+
 def test_empirical_frequency_three_steps():
     z, x = z_instrument(), x_instrument()
     rep = r.estimate([z, x, z], condition=(2, "+"), target=(0, "+"), trials=100_000, seed=11)

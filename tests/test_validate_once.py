@@ -484,7 +484,7 @@ def test_a_non_resolution_raises_on_every_call_with_its_numbers(monkeypatch):
         assert str(e) == (
             "members must sum to a trivial operation; |sum(I) - I| = 5.000e-01, |adjoint(sum)(I) - I| = 5.000e-01"
         )
-        assert (e.dev_in, e.dev_out, e.bound) == (0.5, 0.5, 10 * tol)
+        assert (e.residual, e.tol) == (0.5, 10 * tol)
     assert len(sums) == 1
     # A deviation the bound at a looser tol allows passes there, and still
     # fails at the default tol, from the same kept pair.
@@ -492,7 +492,8 @@ def test_a_non_resolution_raises_on_every_call_with_its_numbers(monkeypatch):
     assert r.bayes_retrodict(near, r.unit(2), 0, tol=1e-6) == 1.0
     with pytest.raises(r.NotResolution) as info:
         r.bayes_retrodict(near, r.unit(2), 0)
-    assert info.value.dev_out == info.value.dev_in == pytest.approx(1e-6)
+    assert info.value.residual == pytest.approx(1e-6)
+    assert str(info.value).endswith("|sum(I) - I| = 1.000e-06, |adjoint(sum)(I) - I| = 1.000e-06")
 
 
 def _reaches(root, target) -> bool:

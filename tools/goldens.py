@@ -54,6 +54,7 @@ CASES = [
     ("bayes_human.txt", 0, ["--scenario", QUBIT, "bayes", "pz+", "pz-", "--condition", "px+", "--index", "0"]),
     ("error_unknown_key.json", 2, ["--scenario", TYPO, "--json", "check", "h"]),
     ("error_task_extra.json", 2, ["--scenario", TASK_EXTRA, "--json", "run"]),
+    ("error_offsum_sum.json", 2, ["--scenario", OFFSUM, "--json", "--tol", "1e-12", "check", "pz+"]),
 ]
 
 

@@ -2,7 +2,7 @@
 
 Loads ``src/retroops`` of this checkout and ``OTHER_TREE/src/retroops``
 under two package names in one process, and counts each tree's eigensolves
-by wrapping ``matcore.hermitian_eig`` in every module that binds it.  Three
+by wrapping ``matcore.hermitian_eig`` in every module that binds it.  Four
 suites run in turn, each over its own grid of points.  A unit is one seed at
 one point: each tree runs the unit's calls, each timed on its own, and the
 trees alternate which goes first from unit to unit, so drift in the host's
@@ -36,6 +36,11 @@ speed falls on both sides alike.
   trees, the Kraus counts equal, and each tree's factor must rebuild its
   map within ``1e-12 * max(1, max |a|)`` entrywise; the Kraus matrices may
   round apart.
+* ``layer``: at d = 2...8, ``hermitian_eig`` of a random Hermitian matrix at
+  ``n = d**2``, ``make_instrument`` on a fresh 3-outcome unsharp family
+  (built untimed) and ``parse_scenario`` of ``tests/fixtures/qubit.json``.
+  The eigenvalues, the components' ``classify`` records and every parsed
+  operation's matrix must be equal to the bit.
 
 A disagreement exits non-zero and names the suite, the point and the unit.
 Prints, per (suite, point, call), the median seconds per call of each tree,
@@ -56,6 +61,7 @@ Run from the repository root:
 """
 
 import argparse
+import importlib
 import importlib.util
 import json
 import os
@@ -104,6 +110,19 @@ def count_eigensolves(ro) -> list:
     return count
 
 
+def random_unitary(gen, d: int) -> np.ndarray:
+    """A Haar-random ``d x d`` unitary drawn from ``gen``."""
+    q, r = np.linalg.qr(gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def unsharp_family(ro, gen, u: np.ndarray, k: int) -> dict:
+    """``k`` maps of package ``ro``, diagonal in the basis ``u`` with
+    Dirichlet weights drawn from ``gen``, that sum to a channel."""
+    weights = gen.dirichlet(np.ones(k), size=len(u)).T
+    return {str(j): ro.from_kraus([(u * np.sqrt(w)) @ u.conj().T]) for j, w in enumerate(weights)}
+
+
 def steps_of(ro, d: int, k: int, steps: int, seed: int) -> list:
     """``steps`` instruments of package ``ro``, alternating a projective
     measurement in a random basis and a ``k``-outcome unsharp one; the same
@@ -111,13 +130,11 @@ def steps_of(ro, d: int, k: int, steps: int, seed: int) -> list:
     gen = np.random.default_rng(seed)
     insts = []
     for s in range(steps):
-        q, r = np.linalg.qr(gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)))
-        u = q * (np.diag(r) / np.abs(np.diag(r)))
+        u = random_unitary(gen, d)
         if s % 2 == 0:
             ops = {str(j): ro.projecting(np.outer(u[:, j], u[:, j].conj())) for j in range(d)}
         else:
-            weights = gen.dirichlet(np.ones(k), size=d).T
-            ops = {str(j): ro.from_kraus([(u * np.sqrt(w)) @ u.conj().T]) for j, w in enumerate(weights)}
+            ops = unsharp_family(ro, gen, u, k)
         insts.append(ro.make_instrument(ops, name=f"I{s}"))
     return insts
 
@@ -192,6 +209,28 @@ def write(ro, point: int, d: int, rank: int):
     return unit
 
 
+def layer(ro, point: int, d: int):
+    """The ``layer`` suite's unit at one point: one call of each layer the
+    other suites do not time on its own, on inputs drawn per unit."""
+    parse_scenario = importlib.import_module(f"{ro.__name__}.cli").parse_scenario
+    text = (ROOT / "tests" / "fixtures" / "qubit.json").read_text()
+
+    def unit(timed, seed):
+        gen = np.random.default_rng(seed)
+        g = gen.normal(size=(d * d, d * d)) + 1j * gen.normal(size=(d * d, d * d))
+        spectrum = timed("hermitian_eig", ro.hermitian_eig, g + g.conj().T)
+        family = unsharp_family(ro, gen, random_unitary(gen, d), 3)
+        inst = timed("make_instrument", ro.make_instrument, family)
+        scn = timed("parse_scenario", parse_scenario, text)
+        return {
+            "hermitian_eig": spectrum.tolist(),
+            "make_instrument": [astuple(ro.classify(inst.op(x))) for x in inst.outcomes],
+            "parse_scenario": {name: op.mat.tolist() for name, op in scn.operations.items()},
+        }
+
+    return unit
+
+
 #: Each suite's unit builder, the names of its point's parameters and its grid.
 SUITES = {
     "sample": (sample, ("dim", "K", "trials", "steps"),
@@ -199,6 +238,7 @@ SUITES = {
     "query": (query, ("dim", "K"), ((3, 3), (4, 8), (8, 4))),
     "write": (write, ("dim", "rank"),
               tuple((d, r) for d in range(2, 9) for r in sorted({1, d, d * d})) + ((12, 144), (16, 256))),
+    "layer": (layer, ("dim",), tuple((d,) for d in range(2, 9))),
 }
 
 
