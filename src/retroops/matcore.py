@@ -17,7 +17,9 @@ condition vanishes when its probability is ``<= tol``: for a map ``b``
 that is ``event_weight(b) / dim``, its probability from the maximally
 mixed prior, which conditional probabilities, Bayes formulas and inferred
 states all read; ``estimate`` reads the exact probability of its
-conditioning outcome from its prior.
+conditioning outcome from its prior.  Hermiticity has one test,
+:func:`_require_hermitian`, with one raise; its caller names the error,
+:class:`NotHermitian` unless it passes another.
 """
 
 from __future__ import annotations
@@ -75,18 +77,21 @@ def _same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
 
 
-def _require_hermitian(m: np.ndarray, tol: float, what: str = "matrix") -> np.ndarray:
-    """The Hermitian part ``(m + m*) / 2`` of ``m``, or :class:`NotHermitian`
-    unless ``|m - m*|_F <= tol * max(1, |m|_F)``.  The Frobenius norm is
-    unitarily invariant, so the verdict does not depend on the basis.  Both
-    norms come from one conjugate transpose, each as ``sqrt(vdot(x, x))``;
-    the error carries ``|m - m*|_F`` and ``tol * max(1, |m|_F)``."""
+def _require_hermitian(m: np.ndarray, tol: float, what: str = "matrix", error=NotHermitian) -> np.ndarray:
+    """The Hermitian part ``(m + m*) / 2`` of ``m``, or ``error`` unless
+    ``|m - m*|_F <= tol * max(1, |m|_F)``.  The one Hermitian test of the
+    package, with one raise: the caller names the error (:class:`NotHermitian`
+    by default), and its message starts with ``what``.  The Frobenius norm
+    is unitarily invariant, so the verdict does not depend on the basis.
+    Both norms come from one conjugate transpose, each as
+    ``sqrt(vdot(x, x))``; the error carries ``|m - m*|_F`` and
+    ``tol * max(1, |m|_F)``."""
     h = m.conj().T
     skew = m - h
     defect = math.sqrt(np.vdot(skew, skew).real)
     scale = max(1.0, math.sqrt(np.vdot(m, m).real))
     _require_within(defect, tol * scale, "{} deviates from Hermitian by {:.3e} (scale {:.3e})", what, defect, scale,
-                    error=NotHermitian)
+                    error=error)
     return (m + h) / 2.0
 
 

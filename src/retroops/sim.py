@@ -186,18 +186,16 @@ def _stack(inst: Instrument) -> np.ndarray:
     return inst._stack
 
 
-def _branch_probs(mats: np.ndarray, states: np.ndarray) -> tuple:
-    """Branch weights ``(n, K)`` and images of a stack of ``n`` states under
-    an instrument's :func:`_stack` ``mats``: states ``(n, d, d)`` give images
-    ``(n, K, d, d)``, and state rows ``(n, d*d)`` image rows ``(n, K, d*d)``.
+def _branch_probs(mats: np.ndarray, rows: np.ndarray) -> tuple:
+    """Branch weights ``(n, K)`` and image rows ``(n, K, d*d)`` of ``n``
+    state rows ``(n, d*d)`` under a ``(d*d, K*d*d)`` stack ``mats``.
 
     The weights are a fresh node-major array; the images are a view of the
-    one product ``(n, d*d) @ mats``, which for ``n = 1`` is row 0 of a
+    one product ``rows @ mats``, which for ``n = 1`` is row 0 of a
     two-row product (see the module docstring).
     """
-    n, dd = len(states), mats.shape[0]
+    n, dd = rows.shape
     d = math.isqrt(dd)
-    rows = states.reshape(n, dd)
     images = (np.concatenate((rows, rows)) @ mats)[:1] if n == 1 else rows @ mats
     k_count = mats.shape[1] // dd
     # re[j, k] is the real part of node j's image under outcome k, read as a
@@ -208,7 +206,7 @@ def _branch_probs(mats: np.ndarray, states: np.ndarray) -> tuple:
     for i in range(2, d):
         weights += re[..., i * (d + 1)]
     np.maximum(0.0, weights, out=weights)
-    return weights, images.reshape(n, k_count, *states.shape[1:])
+    return weights, images.reshape(n, k_count, dd)
 
 
 def _generator(seed) -> np.random.Generator:
@@ -221,7 +219,8 @@ def _generator(seed) -> np.random.Generator:
 def sample_sequence(instruments, prior=None, rng_seed: int = 0) -> Trajectory:
     """Sample one trajectory: the first row of the sampler's one-trial chunk."""
     gen = _generator(rng_seed)
-    row = next(_sample_chunks(instruments, _start(instruments, prior, DEFAULT_TOL), 1, gen, DEFAULT_TOL))[0]
+    rho = _start(instruments, prior, DEFAULT_TOL)
+    row = next(_sample_chunks([_stack(i) for i in instruments], rho, 1, gen, DEFAULT_TOL))[0]
     return Trajectory(rng_seed, tuple((i.name, i.outcomes[k]) for i, k in zip(instruments, row)))
 
 
@@ -260,14 +259,13 @@ def _forward(instruments, totals: list, fixed: dict, rho: np.ndarray, tol: float
     return _as_probability(complex(v[:: len(rho) + 1].sum()), tol)
 
 
-def _sample_chunks(steps, rho: np.ndarray, trials: int, gen: np.random.Generator, tol: float) -> Iterator:
-    """The sampler over checked steps from the checked start state ``rho``:
-    yields the outcome matrices of the ``trials`` in order, in chunks of at
-    most ``_CHUNK`` trials.  A step is an :class:`Instrument`, sampled
-    through its :func:`_stack`, or a ``(d*d, K*d*d)`` stack itself, such as
-    a one-outcome block of :func:`estimate`.  Each chunk is sampled by one
-    call, so its arrays are freed before the next chunk is drawn."""
-    stacks = [_stack(s) if isinstance(s, Instrument) else s for s in steps]
+def _sample_chunks(stacks: list, rho: np.ndarray, trials: int, gen: np.random.Generator, tol: float) -> Iterator:
+    """The sampler over the ``(d*d, K*d*d)`` stacks of checked steps, an
+    instrument's :func:`_stack` or a one-outcome block of :func:`estimate`,
+    from the checked start state ``rho``: yields the outcome matrices of the
+    ``trials`` in order, in chunks of at most ``_CHUNK`` trials.  Each chunk
+    is sampled by one call, so its arrays are freed before the next chunk
+    is drawn."""
     for start in range(0, trials, _CHUNK):
         yield _sample_chunk(stacks, rho, min(_CHUNK, trials - start), gen, tol)
 
@@ -399,19 +397,20 @@ def estimate(
         p_joint = _forward(instruments, totals, {c_step: c_idx, t_step: t_idx}, rho, tol)
     exact = _as_probability(complex(p_joint / p_cond), tol)
 
-    # Each read step is sampled as it is; each run of unread steps is one
-    # one-outcome block, the stack of its summed maps' product.
-    steps, col = [], {}
+    # Each read step is sampled through its instrument's kept stack; each
+    # run of unread steps is one one-outcome block, the stack of its summed
+    # maps' product.
+    stacks, col = [], {}
     for s, inst in enumerate(instruments):
         if s in (c_step, t_step):
-            col[s] = len(steps)
-            steps.append(inst)
+            col[s] = len(stacks)
+            stacks.append(_stack(inst))
         elif s and s - 1 not in col:
-            steps[-1] = steps[-1] @ totals[s].mat.T
+            stacks[-1] = stacks[-1] @ totals[s].mat.T
         else:
-            steps.append(totals[s].mat.T)
+            stacks.append(totals[s].mat.T)
     hits = both = 0
-    for outcomes in _sample_chunks(steps, rho, trials, gen, tol):
+    for outcomes in _sample_chunks(stacks, rho, trials, gen, tol):
         mask_c = outcomes[:, col[c_step]] == c_idx
         hits += int(np.count_nonzero(mask_c))
         both += int(np.count_nonzero(mask_c & (outcomes[:, col[t_step]] == t_idx)))

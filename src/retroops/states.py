@@ -157,8 +157,5 @@ def expect(rho: DensityMatrix, obs, tol: float = DEFAULT_TOL) -> float:
     """
     obs = as_matrix(obs)
     _same_dim(_require_kind(rho, DensityMatrix).matrix, obs)
-    try:
-        obs = _require_hermitian(obs, tol, "observable")
-    except NotHermitian as e:
-        raise InvariantViolation(str(e), residual=e.residual, tol=e.tol) from None
+    obs = _require_hermitian(obs, tol, "observable", error=InvariantViolation)
     return float(np.trace(rho.matrix @ obs).real)

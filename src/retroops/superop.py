@@ -537,10 +537,7 @@ def zero(dim: int) -> Superoperator:
 def projecting(p, tol: float = DEFAULT_TOL) -> Superoperator:
     """The map ``A -> P A P`` for a projector ``P``."""
     p = as_matrix(p)
-    try:
-        _require_hermitian(p, tol, "projector")
-    except NotHermitian as e:
-        raise NotProjector(f"input must satisfy P = P*: {e}", residual=e.residual, tol=e.tol) from None
+    _require_hermitian(p, tol, "input must satisfy P = P*: projector", error=NotProjector)
     _require_within(float(np.abs(p @ p - p).max()), tol, "input must satisfy P = P^2 within tolerance",
                     error=NotProjector)
     return from_kraus([p])

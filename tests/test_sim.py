@@ -36,8 +36,10 @@ from helpers import (
 
 def _outcome_matrix(insts, prior, trials, gen, tol=r.DEFAULT_TOL):
     """The outcome index per (trial, step): the sampler's chunks from the
-    start state that the simulator's entry check gives, stacked in order."""
-    return np.concatenate(list(sim._sample_chunks(insts, sim._start(insts, prior, tol), trials, gen, tol)))
+    start state that the simulator's entry check gives, over the steps'
+    kept stacks, stacked in order."""
+    rho = sim._start(insts, prior, tol)
+    return np.concatenate(list(sim._sample_chunks([sim._stack(i) for i in insts], rho, trials, gen, tol)))
 
 
 def test_sample_sequence_deterministic():
@@ -323,8 +325,9 @@ def test_branch_probabilities_sum_to_one():
 
     z = z_instrument()
     states = np.stack([np.eye(2, dtype=complex) / 2, PZP])
-    probs, images = _branch_probs(_stack(z), states)
-    assert probs.shape == (2, 2) and images.shape == (2, 2, 2, 2)
+    probs, images = _branch_probs(_stack(z), states.reshape(2, 4))
+    assert probs.shape == (2, 2) and images.shape == (2, 2, 4)
+    images = images.reshape(2, 2, 2, 2)
     assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.allclose(probs, [[0.5, 0.5], [1.0, 0.0]])
     assert np.allclose(images[1, 0], PZP) and np.allclose(images[1, 1], 0)
@@ -562,7 +565,7 @@ def test_branch_probs_do_not_depend_on_batch_size():
         for _ in range(1000):
             u = rand_unitary(gen, d)
             states.append((u * gen.dirichlet(np.ones(d))) @ u.conj().T)
-        states = np.array(states)
+        states = np.array(states).reshape(1000, d * d)
         probs, images = _branch_probs(mats, states)
         for n in (1, 2, 7):
             for start in range(0, 14, n):

@@ -550,6 +550,26 @@ def test_projecting_rejects_non_projector():
         r.projecting(np.array([[0, 1], [0, 0]]))
 
 
+@pytest.mark.parametrize(
+    "call, kind, message",
+    [
+        (lambda: r.projecting([[0, 1], [0, 0]]), NotProjector,
+         "input must satisfy P = P*: projector deviates from Hermitian by 1.414e+00 (scale 1.000e+00)"),
+        (lambda: r.expect(r.DensityMatrix(np.eye(2) / 2), [[0, 1], [0, 0]]), r.InvariantViolation,
+         "observable deviates from Hermitian by 1.414e+00 (scale 1.000e+00)"),
+    ],
+    ids=["projecting", "expect"],
+)
+def test_a_non_hermitian_input_raises_its_callers_error_in_full(call, kind, message):
+    # The Hermitian check names the caller's error: its type, its message,
+    # |m - m*|_F = sqrt(2) as residual and tol * max(1, |m|_F) = 1e-9 as tol.
+    with pytest.raises(kind) as info:
+        call()
+    e = info.value
+    assert type(e) is kind
+    assert (str(e), e.residual, e.tol) == (message, math.sqrt(2.0), 1e-9)
+
+
 def test_unitary_rejects_non_unitary():
     with pytest.raises(NotUnitary):
         r.unitary(np.array([[1, 0], [0, 2]]))

@@ -8,10 +8,12 @@ Run from the repository root:
 
     python3 tools/code_lines.py [DIRECTORY]
 
-``DIRECTORY`` defaults to ``src/retroops``.
+``DIRECTORY`` defaults to ``src/retroops``.  A reader that stops early,
+as ``| head`` does, ends the run quietly with exit status 1.
 """
 
 import ast
+import os
 import sys
 from pathlib import Path
 
@@ -36,4 +38,11 @@ def main(directory: str = "src/retroops") -> None:
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:2])
+    try:
+        main(*sys.argv[1:2])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's flush at exit does
+        # not meet the closed pipe again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
